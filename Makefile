@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint bench bench-quick perf scale scale-smoke sweep-smoke p2p-smoke churn churn-smoke lineage lineage-smoke topo topo-smoke examples clean
+.PHONY: install test lint perfbench bench bench-quick perf scale scale-smoke sweep-smoke p2p-smoke churn churn-smoke lineage lineage-smoke topo topo-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -10,6 +10,10 @@ test:            ## tier-1 test suite (what CI runs)
 
 lint:            ## ruff over src/ and tests/ (what the CI lint job runs)
 	ruff check src tests
+
+perfbench:       ## repository benchmark: harness tests + one checked multisnapshot run
+	python3 -m pytest perfbench/tests -q
+	python3 perfbench/run.py --workload multisnapshot --seed 1 --seconds 1 --trace 0
 
 bench:           ## full paper-profile figure reproduction (~25 min)
 	pytest benchmarks/ --benchmark-only

@@ -236,13 +236,11 @@ class ProviderManagerService:
 
     def _down_providers(self) -> Tuple[str, ...]:
         """Providers the manager currently believes dead (crash-injection only)."""
-        from ..simkit import rpc
-
-        if not rpc._down_hosts:  # fast path: failure-free runs never filter
+        fabric = self.host.fabric
+        down = fabric.down_hosts
+        if not down:  # fast path: failure-free runs never filter
             return ()
-        hosts = self.host.fabric.hosts
+        hosts = fabric.hosts
         return tuple(
-            name
-            for name in self.policy.providers
-            if name in hosts and rpc.is_host_down(hosts[name])
+            name for name in self.policy.providers if name in hosts and hosts[name] in down
         )

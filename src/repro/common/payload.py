@@ -143,7 +143,11 @@ class Payload:
 
     @staticmethod
     def opaque(tag: str, nbytes: int, offset: int = 0) -> "Payload":
-        return Payload([OpaqueAtom(tag, int(offset), int(nbytes))])
+        atom = OpaqueAtom(tag, int(offset), int(nbytes))
+        if atom.nbytes == 0:
+            return Payload()
+        # one atom is already normalized (hot: one per guest write)
+        return Payload._from_normalized((atom,), atom.nbytes)
 
     @staticmethod
     def concat(parts: Sequence["Payload"]) -> "Payload":

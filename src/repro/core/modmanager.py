@@ -27,8 +27,9 @@ re-open (§4.2).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..common.errors import MirrorStateError
 from ..common.intervals import IntervalSet
@@ -80,9 +81,9 @@ class ModificationManager:
         self.enforce_contiguity = enforce_contiguity
         #: per chunk: locally available byte range (absolute offsets).
         #: Invariant: each is empty or a single interval (strategy 2).
-        self._mirrored: Dict[int, IntervalSet] = {}
+        self._mirrored: Dict[int, IntervalSet] = defaultdict(IntervalSet)
         #: per chunk: locally written byte ranges (absolute offsets)
-        self._dirty: Dict[int, IntervalSet] = {}
+        self._dirty: Dict[int, IntervalSet] = defaultdict(IntervalSet)
 
     # ------------------------------------------------------------------ #
     # geometry helpers
@@ -97,25 +98,25 @@ class ModificationManager:
             return range(0, 0)
         return range(lo // self.chunk_size, -(-hi // self.chunk_size))
 
+    def _windows(self, lo: int, hi: int) -> Sequence[Tuple[int, int, int]]:
+        """``(chunk, w_lo, w_hi)``: ``[lo, hi)`` clipped to each chunk it touches."""
+        self._check_range(lo, hi)
+        if lo >= hi:
+            return ()
+        cs = self.chunk_size
+        first, last = lo // cs, (hi - 1) // cs
+        if first == last:
+            return ((first, lo, hi),)  # fast path: every guest-sized write
+        return [
+            (idx, max(lo, idx * cs), min(hi, idx * cs + cs))
+            for idx in range(first, last + 1)
+        ]
+
     def _check_range(self, lo: int, hi: int) -> None:
         if lo < 0 or hi > self.image_size or lo > hi:
             raise MirrorStateError(
                 f"range [{lo},{hi}) outside image of size {self.image_size}"
             )
-
-    def _mirror_of(self, idx: int) -> IntervalSet:
-        s = self._mirrored.get(idx)
-        if s is None:
-            s = IntervalSet()
-            self._mirrored[idx] = s
-        return s
-
-    def _dirty_of(self, idx: int) -> IntervalSet:
-        s = self._dirty.get(idx)
-        if s is None:
-            s = IntervalSet()
-            self._dirty[idx] = s
-        return s
 
     # ------------------------------------------------------------------ #
     # planning
@@ -138,13 +139,10 @@ class ModificationManager:
 
     def plan_write(self, lo: int, hi: int) -> WritePlan:
         """Strategy 2: gap reads keeping each chunk's mirror contiguous."""
-        self._check_range(lo, hi)
         fills: List[Tuple[int, Interval]] = []
-        for idx in self.chunks_overlapping(lo, hi):
-            c_lo, c_hi = self.chunk_bounds(idx)
-            w_lo, w_hi = max(lo, c_lo), min(hi, c_hi)
+        for idx, w_lo, w_hi in self._windows(lo, hi):
             mirror = self._mirrored.get(idx)
-            if mirror is None or not mirror:
+            if not mirror:
                 continue  # nothing mirrored yet: the write itself is contiguous
             m_lo, m_hi = mirror.span()
             if w_lo > m_hi:
@@ -162,9 +160,7 @@ class ModificationManager:
         chunk-granularity fetching buys.
         """
         out: Dict[int, List[Interval]] = {}
-        for idx in self.chunks_overlapping(lo, hi):
-            c_lo, c_hi = self.chunk_bounds(idx)
-            w_lo, w_hi = max(lo, c_lo), min(hi, c_hi)
+        for idx, w_lo, w_hi in self._windows(lo, hi):
             mirror = self._mirrored.get(idx)
             gaps = mirror.gaps(w_lo, w_hi) if mirror is not None else [(w_lo, w_hi)]
             if gaps:
@@ -185,7 +181,7 @@ class ModificationManager:
     def record_fetch(self, idx: int) -> None:
         """A full-chunk fetch completed: the chunk is now fully mirrored."""
         c_lo, c_hi = self.chunk_bounds(idx)
-        self._mirror_of(idx).add(c_lo, c_hi)
+        self._mirrored[idx].add(c_lo, c_hi)
         self._assert_contiguous(idx)
 
     def record_fill(self, idx: int, lo: int, hi: int) -> None:
@@ -193,16 +189,13 @@ class ModificationManager:
         c_lo, c_hi = self.chunk_bounds(idx)
         if lo < c_lo or hi > c_hi:
             raise MirrorStateError(f"fill [{lo},{hi}) outside chunk {idx}")
-        self._mirror_of(idx).add(lo, hi)
+        self._mirrored[idx].add(lo, hi)
 
     def record_write(self, lo: int, hi: int) -> None:
         """A local write ``[lo, hi)`` completed (gap fills already applied)."""
-        self._check_range(lo, hi)
-        for idx in self.chunks_overlapping(lo, hi):
-            c_lo, c_hi = self.chunk_bounds(idx)
-            w_lo, w_hi = max(lo, c_lo), min(hi, c_hi)
-            self._mirror_of(idx).add(w_lo, w_hi)
-            self._dirty_of(idx).add(w_lo, w_hi)
+        for idx, w_lo, w_hi in self._windows(lo, hi):
+            self._mirrored[idx].add(w_lo, w_hi)
+            self._dirty[idx].add(w_lo, w_hi)
             self._assert_contiguous(idx)
 
     def clear_dirty(self) -> None:
@@ -222,9 +215,7 @@ class ModificationManager:
     # queries
     # ------------------------------------------------------------------ #
     def is_mirrored(self, lo: int, hi: int) -> bool:
-        for idx in self.chunks_overlapping(lo, hi):
-            c_lo, c_hi = self.chunk_bounds(idx)
-            w_lo, w_hi = max(lo, c_lo), min(hi, c_hi)
+        for idx, w_lo, w_hi in self._windows(lo, hi):
             mirror = self._mirrored.get(idx)
             if mirror is None or not mirror.contains(w_lo, w_hi):
                 return False
@@ -259,9 +250,9 @@ class ModificationManager:
         mgr = cls(state["image_size"], state["chunk_size"])
         for idx, ivs in state["mirrored"].items():
             for lo, hi in ivs:
-                mgr._mirror_of(int(idx)).add(lo, hi)
+                mgr._mirrored[int(idx)].add(lo, hi)
             mgr._assert_contiguous(int(idx))
         for idx, ivs in state["dirty"].items():
             for lo, hi in ivs:
-                mgr._dirty_of(int(idx)).add(lo, hi)
+                mgr._dirty[int(idx)].add(lo, hi)
         return mgr

@@ -206,17 +206,7 @@ def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
             f"resilience plan must be 'staggered' or 'random', got {mode!r}"
         )
 
-    from ..simkit import rpc as _rpc
-
-    try:
-        res = resilient_deploy(
-            cloud, image, spec.n, spec.approach or "mirror", plan=plan
-        )
-    finally:
-        # The down-host registry is process-global and keyed by id(fabric);
-        # purge it so a later point in this worker (which may reuse the
-        # fabric's memory address) cannot inherit stale crash markers.
-        _rpc.reset_failures()
+    res = resilient_deploy(cloud, image, spec.n, spec.approach or "mirror", plan=plan)
     metrics = {
         "init_time": res.init_time,
         "avg_boot_time": res.avg_boot_time,

@@ -380,6 +380,24 @@ class Environment:
         self._seq += 1
         heappush(self._queue, (self.now + delay, self._seq, event))
 
+    def call_later(self, delay: float, callback: Callable[[Event], None]) -> Event:
+        """Run ``callback(event)`` ``delay`` seconds from now.
+
+        A plain one-callback event with no :class:`Process` behind it, for
+        state machines that act at a future instant without a generator
+        (the page cache's write-back drain). Its place among same-instant
+        ties is fixed now, exactly as for a :class:`Timeout` created here.
+        """
+        ev = Event.__new__(Event)
+        ev.env = self
+        ev.callbacks = [callback]
+        ev._value = None
+        ev._ok = True
+        ev._processed = False
+        self._seq += 1
+        heappush(self._queue, (self.now + delay, self._seq, ev))
+        return ev
+
     def schedule_at(self, event: Event, when: float, value: Any = None) -> Event:
         """Trigger ``event`` with ``value`` at absolute simulated time ``when``.
 

@@ -27,7 +27,7 @@ from typing import Generator, Optional
 
 from ..common.units import MB, MILLISECONDS
 from .core import Environment, Event, Timeout
-from .resources import Resource
+from .resources import Request, Resource
 from .trace import Metrics
 
 
@@ -59,25 +59,46 @@ class Disk:
             "write": ("disk-write", "disk-write-bytes"),
         }
 
+    # ------------------------------------------------------------------ #
+    # one I/O: FIFO acquisition, pricing and accounting, shared by the
+    # generator callers below and the page cache's callback drain
+    # ------------------------------------------------------------------ #
+    def _acquire(self) -> Optional[Request]:
+        """Take the FIFO slot: ``None`` when it was free (no event is
+        spent, the common case outside contention), else the request that
+        grants it in arrival order."""
+        queue = self._queue
+        if queue.try_acquire():
+            return None
+        return queue.request()
+
+    def _service_time(self, nbytes: int, bandwidth: float, sequential: bool) -> float:
+        duration = nbytes / bandwidth
+        if not sequential:
+            duration += self.seek_time
+        return duration
+
+    def _complete(self, kind: str, nbytes: int) -> None:
+        """Charge a finished I/O to the counters and hand the slot on."""
+        metrics = self.metrics
+        if metrics is not None:
+            count_key, bytes_key = self._keys[kind]
+            counters = metrics.counters
+            counters[count_key] += 1
+            counters[bytes_key] += nbytes
+        self._queue.release()
+
     def _io(self, nbytes: int, bandwidth: float, sequential: bool, kind: str):
-        # Uncontended fast path: grab the free queue slot synchronously so
-        # the acquisition costs no event (the common case outside the
-        # contention regimes, where the FIFO below takes over).
-        if not self._queue.try_acquire():
-            yield self._queue.request()
+        request = self._acquire()
+        if request is not None:
+            yield request
         try:
-            duration = nbytes / bandwidth
-            if not sequential:
-                duration += self.seek_time
-            yield Timeout(self.env, duration)
-            metrics = self.metrics
-            if metrics is not None:
-                count_key, bytes_key = self._keys[kind]
-                counters = metrics.counters
-                counters[count_key] += 1
-                counters[bytes_key] += nbytes
-        finally:
+            yield Timeout(self.env, self._service_time(nbytes, bandwidth, sequential))
+        except BaseException:
+            # interrupted mid-I/O: free the slot at once, charge nothing
             self._queue.release()
+            raise
+        self._complete(kind, nbytes)
 
     def read(self, nbytes: int, sequential: bool = True) -> Generator[Event, None, None]:
         """Process-style: ``yield from disk.read(n)`` blocks for the I/O time."""
@@ -117,6 +138,10 @@ class Disk:
         return self._stall_factor != 1.0
 
 
+#: bytes the page cache's write-back drain flushes per disk I/O
+FLUSH_QUANTUM = 4 * MB
+
+
 class WritePolicy:
     """Parameters of one file-access path through the page cache."""
 
@@ -149,9 +174,11 @@ class WritePolicy:
 class FileDevice:
     """A file opened on a host through the page cache under a write policy.
 
-    Tracks the cached byte set coarsely (fully-cached-up-to watermarks are
-    enough for the sequential Bonnie++ phases) and a dirty counter drained by
-    a background flusher at disk speed.
+    Writes are absorbed into a ``dirty`` byte count, at disk speed once it
+    exceeds the policy's budget, and a background write-back drain flushes
+    it to the disk in batches of up to :data:`FLUSH_QUANTUM` bytes. Both run
+    as event callbacks: a write resumes its caller once, at completion, and
+    the drain is a state machine on the disk FIFO, not a process.
     """
 
     def __init__(self, env: Environment, disk: Disk, policy: WritePolicy, size: int):
@@ -160,21 +187,38 @@ class FileDevice:
         self.policy = policy
         self.size = size
         self.dirty = 0
-        self._cached_bytes = 0
-        self._flusher_active = False
+        self._draining = False
+        #: the flush batch in flight: its bytes and the bandwidth it was
+        #: priced at when issued (a later stall does not reprice it)
+        self._batch = 0
+        self._batch_bandwidth = 0.0
 
     # ------------------------------------------------------------------ #
     def write(self, nbytes: int) -> Generator[Event, None, None]:
-        """Write ``nbytes`` through the cache (throttled past the dirty budget)."""
-        yield self.env.timeout(self.policy.data_op_overhead)
-        if self.dirty + nbytes <= self.policy.dirty_budget:
-            yield self.env.timeout(nbytes / self.policy.write_absorb_bandwidth)
-        else:
-            # Over budget: the writer effectively runs at drain (disk) speed.
-            yield self.env.timeout(nbytes / self.disk.write_bandwidth)
+        """Write ``nbytes`` through the cache (throttled past the dirty budget).
+
+        The budget is checked when the per-op delay ends, by a callback that
+        schedules the completion; the caller resumes only then and adds its
+        dirty bytes, so a writer interrupted in either delay adds none.
+        """
+        env = self.env
+        done = Event(env)
+
+        def absorb(_ev: Event) -> None:
+            if not done.callbacks:
+                return  # the writer was interrupted during the per-op delay
+            policy = self.policy
+            if self.dirty + nbytes <= policy.dirty_budget:
+                delay = nbytes / policy.write_absorb_bandwidth
+            else:
+                # Over budget: the writer effectively runs at drain (disk) speed.
+                delay = nbytes / self.disk.write_bandwidth
+            env.schedule_at(done, env.now + delay)
+
+        env.call_later(self.policy.data_op_overhead, absorb)
+        yield done
         self.dirty += nbytes
-        self._cached_bytes = min(self.size, self._cached_bytes + nbytes)
-        self._ensure_flusher()
+        self._ensure_drain()
 
     def read(self, nbytes: int, cached: bool) -> Generator[Event, None, None]:
         """Read ``nbytes``; ``cached`` says whether the page cache holds them."""
@@ -199,20 +243,39 @@ class FileDevice:
         """Block until all dirty bytes have been flushed to disk."""
         while self.dirty > 0:
             yield self.env.timeout(self.dirty / self.disk.write_bandwidth)
-            # the flusher drains concurrently; loop until it caught up
-            if self.dirty > 0 and not self._flusher_active:
-                self._ensure_flusher()
+            # the drain runs concurrently; loop until it caught up
+            self._ensure_drain()
 
     # ------------------------------------------------------------------ #
-    def _ensure_flusher(self) -> None:
-        if not self._flusher_active and self.dirty > 0:
-            self._flusher_active = True
-            self.env.process(self._flusher(), name="page-cache-flusher")
+    # write-back drain
+    # ------------------------------------------------------------------ #
+    def _ensure_drain(self) -> None:
+        if not self._draining and self.dirty > 0:
+            self._draining = True
+            # Deferred by one event, never started inline: same-instant
+            # events already queued (lockstep writers, a reader on the same
+            # disk) must reach the disk FIFO before the first batch does.
+            self.env.call_later(0.0, self._drain)
 
-    def _flusher(self) -> Generator[Event, None, None]:
-        flush_quantum = 4 * MB
-        while self.dirty > 0:
-            batch = min(self.dirty, flush_quantum)
-            yield from self.disk.write(batch, sequential=True)
-            self.dirty -= batch
-        self._flusher_active = False
+    def _drain(self, _ev: Optional[Event] = None) -> None:
+        """Queue the next flush batch on the disk (``dirty`` is positive)."""
+        disk = self.disk
+        self._batch = min(self.dirty, FLUSH_QUANTUM)
+        self._batch_bandwidth = disk.write_bandwidth
+        request = disk._acquire()
+        if request is None:
+            self._issue_batch()
+        else:
+            request.callbacks.append(self._issue_batch)
+
+    def _issue_batch(self, _ev: Optional[Event] = None) -> None:
+        duration = self.disk._service_time(self._batch, self._batch_bandwidth, True)
+        self.env.call_later(duration, self._batch_done)
+
+    def _batch_done(self, _ev: Event) -> None:
+        self.disk._complete("write", self._batch)
+        self.dirty -= self._batch
+        if self.dirty > 0:
+            self._drain()
+        else:
+            self._draining = False

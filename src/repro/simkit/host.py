@@ -9,7 +9,7 @@ threaded through every service constructor.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, Optional, Set
 
 from ..common.errors import SimulationError
 from ..common.payload import SparseFile
@@ -55,6 +55,9 @@ class Fabric:
         #: (0 keeps unit tests exact; the calibrated clouds set it)
         self.connection_setup: float = 0.0
         self._rpc_conn_pairs: set = set()
+        #: hosts RPCs cannot reach (failure injection, see :mod:`.rpc`); it
+        #: lives and dies with this fabric, so no other fabric sees its crashes
+        self.down_hosts: Set["Host"] = set()
 
     @property
     def topology(self):

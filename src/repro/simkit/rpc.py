@@ -21,7 +21,7 @@ interval, which the replication layer of the storage service exercises.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Set
+from typing import Any, Generator
 
 from ..common.errors import ProviderUnavailableError, SimulationError
 from ..common.payload import Payload
@@ -35,29 +35,19 @@ RPC_TIMEOUT = 0.5
 REQUEST_BYTES = 256
 RESPONSE_BYTES = 192
 
-_down_hosts: "Set[str]" = set()
-
 
 def host_down(host: Host) -> None:
     """Mark ``host`` as failed: subsequent RPCs to it raise (failure injection)."""
-    _down_hosts.add(_key(host))
+    host.fabric.down_hosts.add(host)
 
 
 def host_up(host: Host) -> None:
-    _down_hosts.discard(_key(host))
-
-
-def reset_failures() -> None:
-    _down_hosts.clear()
+    host.fabric.down_hosts.discard(host)
 
 
 def is_host_down(host: Host) -> bool:
-    """True while ``host`` is in the failure registry (crash injected)."""
-    return bool(_down_hosts) and _key(host) in _down_hosts
-
-
-def _key(host: Host) -> str:
-    return f"{id(host.fabric)}:{host.name}"
+    """True while ``host`` is in its fabric's failure registry (crash injected)."""
+    return host in host.fabric.down_hosts
 
 
 class Sized:
@@ -105,10 +95,9 @@ def call(
         span = tracer.start(
             f"rpc:{service_name}.{method}", "rpc", src=caller.name, dst=callee.name
         )
+    down = fabric.down_hosts
     try:
-        # The failure registry is empty in the vast majority of runs; skip the
-        # per-call key construction + hash unless failures were injected.
-        if _down_hosts and _key(callee) in _down_hosts:
+        if callee in down:
             yield env.timeout(RPC_TIMEOUT)
             raise ProviderUnavailableError(f"{callee.name} unreachable")
 
@@ -155,7 +144,7 @@ def call(
         else:
             result = yield from handler(caller, *args)
 
-        if _down_hosts and _key(callee) in _down_hosts:
+        if callee in down:
             # Host died while serving (failure injected mid-call).
             raise ProviderUnavailableError(f"{callee.name} failed during call")
 

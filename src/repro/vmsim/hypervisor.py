@@ -40,6 +40,8 @@ class VMInstance:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.boot_time: Optional[float] = None
         self.booted_at: Optional[float] = None
+        #: content tag of every guest write (opaque payload provenance)
+        self._write_tag = f"vmwrite-{name}"
 
     # ------------------------------------------------------------------ #
     def run_ops(self, ops: Iterable[BootOp]) -> Generator:
@@ -50,6 +52,7 @@ class VMInstance:
         if tracer.enabled:
             yield from self._run_ops_traced(ops)
             return
+        tag = self._write_tag
         for op in ops:
             kind = op.kind
             if kind == "cpu":
@@ -58,9 +61,7 @@ class VMInstance:
             elif kind == "read":
                 yield from backend.read(op.offset, op.nbytes)
             elif kind == "write":
-                yield from backend.write(
-                    op.offset, Payload.opaque(f"vmwrite-{self.name}", op.nbytes)
-                )
+                yield from backend.write(op.offset, Payload.opaque(tag, op.nbytes))
             else:
                 raise SimulationError(f"unknown boot op {kind!r}")
 
@@ -81,7 +82,7 @@ class VMInstance:
             elif kind == "write":
                 with tracer.start("op:write", "vfs", offset=op.offset, nbytes=op.nbytes):
                     yield from backend.write(
-                        op.offset, Payload.opaque(f"vmwrite-{self.name}", op.nbytes)
+                        op.offset, Payload.opaque(self._write_tag, op.nbytes)
                     )
             else:
                 raise SimulationError(f"unknown boot op {kind!r}")

@@ -112,7 +112,6 @@ def _run_engine_fault_cycle(rebalance):
     replication survives) under an explicit rebalance engine."""
     from repro.faults import FaultPlan, RetryPolicy, resilient_deploy
     from repro.faults.plan import FaultEvent
-    from repro.simkit import rpc
 
     with _engine(rebalance):
         cloud = build_cloud(
@@ -135,10 +134,7 @@ def _run_engine_fault_cycle(rebalance):
         image = make_image(
             CALIB.image.size, CALIB.image.boot_touched_bytes, n_regions=16
         )
-        try:
-            res = resilient_deploy(cloud, image, N_NODES - 2, "mirror", plan=plan)
-        finally:
-            rpc.reset_failures()  # the down-host registry is process-global
+        res = resilient_deploy(cloud, image, N_NODES - 2, "mirror", plan=plan)
         return {
             "now": cloud.env.now,
             "traffic": dict(cloud.metrics.traffic),

@@ -1,5 +1,7 @@
 """Tests for the disk model, hosts, and the RPC layer."""
 
+import gc
+
 import pytest
 
 from repro.common.errors import ProviderUnavailableError, SimulationError
@@ -258,6 +260,24 @@ class TestRpc:
             return (yield from rpc.call(a, b, "svc", "echo", 3))
 
         assert fab.run(fab.env.process(client())) == 3
+
+    def test_fresh_fabric_never_sees_an_earlier_fabrics_crash(self):
+        fab, a, b = self._setup()
+        b.fail("crash")
+        assert rpc.is_host_down(b)
+        del fab, a, b  # free the crashed fabric; its id may be reused
+        gc.collect()
+
+        for _ in range(8):
+            fab, a, b = self._setup()
+            assert not fab.down_hosts
+            assert not rpc.is_host_down(b)
+
+            def client():
+                return (yield from rpc.call(a, b, "svc", "echo", 5))
+
+            assert fab.run(fab.env.process(client())) == 5
+            assert fab.env.now < rpc.RPC_TIMEOUT
 
     def test_double_bind_rejected(self):
         fab, a, b = self._setup()
