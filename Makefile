@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint perfbench bench bench-quick perf scale scale-smoke sweep-smoke p2p-smoke churn churn-smoke lineage lineage-smoke topo topo-smoke examples clean
+.PHONY: install test lint loc perfbench bench bench-quick perf scale scale-smoke sweep-smoke p2p-smoke churn churn-smoke lineage lineage-smoke topo topo-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -10,6 +10,9 @@ test:            ## tier-1 test suite (what CI runs)
 
 lint:            ## ruff over src/ and tests/ (what the CI lint job runs)
 	ruff check src tests
+
+loc:             ## tracked source size: src/ and simkit/network.py, all and code lines
+	python3 benchmarks/loc.py
 
 perfbench:       ## repository benchmark: harness tests + one checked multisnapshot run
 	python3 -m pytest perfbench/tests -q

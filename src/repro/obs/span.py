@@ -34,9 +34,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
-#: monotonically increasing trace-id counter (per python process; trace ids
-#: only need to be unique within one exported file)
-_trace_counter = 0
+#: default trace id: a fixed value, so an exported trace depends only on the
+#: run it records (ids only need to be unique within one exported file)
+DEFAULT_TRACE_ID = "trace"
 
 
 class Span:
@@ -130,10 +130,8 @@ class Tracer:
     enabled = True
 
     def __init__(self, env, trace_id: Optional[str] = None):
-        global _trace_counter
-        _trace_counter += 1
         self.env = env
-        self.trace_id = trace_id if trace_id is not None else f"trace-{_trace_counter:04d}"
+        self.trace_id = trace_id if trace_id is not None else DEFAULT_TRACE_ID
         self.spans: List[Span] = []
         self._next_span = 0
         #: per-process span stacks; key = id(Process), 0 = outside any process

@@ -1,64 +1,65 @@
-"""Flow-level network fabric with per-NIC fair bandwidth sharing.
+"""Flow-level network fabric with fair bandwidth sharing over links.
 
 The paper's testbed is a commodity GigE cluster (117.5 MB/s measured TCP
 throughput, ~0.1 ms latency) behind a non-blocking switch, so the only
 bandwidth constraints that matter are the hosts' NICs. We therefore model the
 network at *flow level*: a bulk transfer is a fluid flow whose instantaneous
-rate is its fair share of its source's uplink and destination's downlink.
+rate is its fair share of the links it crosses.
+
+**Links.** Every capacity constraint is one :class:`Link`: a NIC direction
+(``h3:up``, ``h3:down``) or, when a multi-rack
+:class:`~repro.topo.Topology` is attached, one direction of a shared trunk
+(``rack2:up``, ``pod0:down``, ``core``). A link holds its capacity, the
+flows crossing it and their cached equal share ``capacity / max(1, n)``. A
+flow's path is its source uplink, its destination downlink and, between
+racks, the trunks it crosses (resolved once per host pair; intra-rack and
+flat paths have none).
 
 Two fairness disciplines are provided:
 
 ``"equal-share"`` (default)
-    ``rate(f) = min(cap_up(src)/n_up(src), cap_down(dst)/n_down(dst))``.
-    Incremental, O(flows on the two affected links) per flow arrival or
-    departure — fast enough for hundred-node sweeps. It slightly
+    a flow's rate is the minimum share over its links. It slightly
     *under*-estimates throughput versus true max-min fairness because the
     share a bottlenecked-elsewhere flow leaves on a link is not
     redistributed.
 
 ``"maxmin"``
-    exact max-min fairness via progressive filling, recomputed globally on
-    every flow arrival/departure. Heap-driven water filling, O(F log L) per
-    recompute — used in tests and small topologies to bound the error of the
-    fast mode.
+    exact max-min fairness via progressive filling over the same links,
+    recomputed globally on every change. Heap-driven water filling,
+    O(F log L) per recompute — used to bound the error of equal-share.
+
+Every mutation (flow start, completion, abort, capacity change) ends in one
+"shares changed on these links" call to one of two engines, picked once
+from the fairness and the topology:
+
+* The **cohort engine** runs equal-share on a flat or single-rack fabric,
+  where every path is two NIC links. Flows bottlenecked on the same link
+  share one rate, so the link keeps one lazy cohort record (a generation
+  and a closed-segment history of past share levels) instead of touching
+  every crossing flow. A flow's ``(remaining, t_last)`` is materialized only
+  when its bottleneck switches side, when it becomes the cohort head (its
+  ETA is needed), or when it aborts — by replaying the exact per-segment
+  products the per-flow engine computes, so results are bit-identical to
+  it. The completion heap holds one entry per link (the head's ETA),
+  making flow maintenance near-O(1) per event instead of O(flows on the
+  link). See DESIGN.md §8.
+* The **per-flow engine** runs everything else: multi-rack equal-share and
+  maxmin. After a change it recomputes the rate of every flow crossing a
+  touched link (equal-share) or of every flow (maxmin) and re-arms only the
+  flows whose rate changed. A flat fabric is the case where no path has a
+  trunk, so a multi-rack topology with every host in one rack reproduces the
+  cohort engine's results exactly: the oracle the tests compare it with.
 
 **Completion wakeups** use a single earliest-ETA sentinel event per network
-rather than one timer per flow per rebalance: every rate change pushes the
-flow's new absolute completion time onto a lazily-invalidated heap (a
-per-flow generation counter marks stale entries), and at most one pending
-sentinel timer tracks the heap head. A rebalance therefore schedules O(1)
-timers instead of O(affected flows), and flows whose fair share did not
+rather than one timer per flow per rebalance: rate changes push absolute
+completion times onto a lazily-invalidated heap whose entries go stale when
+their owner's (flow's or link's) generation moves on, and at most one
+pending sentinel timer tracks the heap head. Flows whose share did not
 change are not touched at all (their linear progress makes deferring the
-bookkeeping exact). See DESIGN.md §"Performance model & profiling".
+bookkeeping exact).
 
-**Cohort rebalancing** (equal-share, default): under equal-share fairness
-every flow bottlenecked on the same link direction has the *same* rate, so
-each link direction keeps one lazy cohort record (share level, an epoch
-counter, and a closed-segment history of past share levels) instead of
-touching every crossing flow on each arrival/departure. A flow's
-``(remaining, t_last)`` is materialized only when its rate actually changes
-side (bottleneck switch), when it becomes the cohort head (its ETA is
-needed), or when it aborts — by replaying the exact per-segment products the
-eager per-flow update would have computed, so results are bit-identical to
-the legacy path (``rebalance="legacy"``, kept as an in-test oracle). The
-completion heap holds one entry per link direction (the cohort head's ETA,
-invalidated by epoch bumps) rather than one per flow per rate change,
-making flow maintenance near-O(1) per event instead of O(flows on the
-link) — the difference between O(F²) and O(F log F) aggregate work for the
-paper's fan-in deployment patterns. See DESIGN.md §8.
-
-**Hierarchical topology** (optional): attaching a multi-rack
-:class:`~repro.topo.Topology` switches the network into *path mode*: each
-flow resolves the trunk links on its path (rack uplink/downlink, optional
-pod trunks and core) once at start, and its rate is the minimum share over
-its NIC endpoints *and* every trunk it crosses. Rebalancing walks exactly
-the flows sharing a touched link (NIC direction or trunk), reusing the
-skip-unchanged-rate sentinel machinery of the per-flow engine. With no
-topology attached — or a single-rack one — every trunk path is empty and
-the flat engines (cohort included) run completely untouched, so flat-model
-results stay bit-identical. A single-rack topology still enables per-tier
-traffic *accounting* (scope classification lives only in Metrics and never
-affects the timeline).
+A single-rack topology only adds per-tier traffic *accounting* (scope
+classification lives in Metrics and never affects the timeline).
 
 Small control messages (below :attr:`FlowNetwork.message_threshold`) bypass
 the fluid model and pay ``latency + size/capacity + per_message_overhead``;
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 from bisect import insort_right
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from ..topo.fabric import Topology
@@ -82,82 +83,102 @@ from ..obs.span import NULL_TRACER
 from .core import Environment, Event, Timeout
 from .trace import Metrics
 
-#: default rebalancing engine for equal-share fairness; tests monkeypatch
-#: this to "legacy" to run the pre-cohort per-flow path as an oracle
-DEFAULT_REBALANCE = "cohort"
-
 _INF = float("inf")
 
 
-class Nic:
-    """A full-duplex network interface: independent up and down capacities.
+class Link:
+    """One direction of a NIC or of a shared trunk.
 
-    Flow collections are insertion-ordered dicts (used as ordered sets):
-    iteration order must be deterministic across runs, or float accumulation
-    and event tie-breaking would depend on object memory addresses.
+    ``flows`` is an insertion-ordered dict used as an ordered set: iteration
+    order must be deterministic across runs, or float accumulation and event
+    tie-breaking would depend on object memory addresses. ``share`` caches
+    the equal-share level ``capacity / max(1, len(flows))``.
 
-    ``up_share`` / ``down_share`` cache the current equal-share level
-    (``capacity / max(1, n_flows)``); :class:`FlowNetwork` maintains them on
-    every flow arrival and departure so a rebalance reads shares in O(1)
-    instead of recounting flows.
+    The remaining fields are cohort-engine state. ``segs`` is the closed
+    history of past share levels as ``(t_end, share)`` pairs: a lazy flow
+    replays the pending suffix (from its ``seg_idx``) to materialize exactly
+    the subtract-and-clamp products the per-flow engine would have applied
+    at each boundary. ``natives`` holds the flows bottlenecked here, sorted
+    by remaining bytes (ties in join order — insort_right is stable), so
+    ``natives[0]`` is always the link's next completion. ``foreign`` holds
+    crossing flows bottlenecked on their other link. ``gen`` invalidates
+    completion-heap entries; ``partner_floor`` is a sound lower bound on the
+    natives' other-link shares, letting a share increase skip the
+    switch-out scan when no native can possibly leave.
     """
 
     __slots__ = (
-        "name",
-        "up_capacity",
-        "down_capacity",
-        "up_flows",
-        "down_flows",
-        "up_share",
-        "down_share",
-        "up_dir",
-        "down_dir",
+        "name", "capacity", "flows", "share",
+        "gen", "natives", "foreign", "segs", "seg_base", "partner_floor",
     )
+
+    def __init__(self, name: str, capacity: float):
+        self.name = name
+        self.capacity = Link.checked(f"{name} capacity", capacity)
+        self.flows: Dict[Flow, None] = {}
+        self.share = self.capacity
+        self.gen = 0
+        self.natives: List[Flow] = []
+        self.foreign: Dict[Flow, None] = {}
+        self.segs: List[Tuple[float, float]] = []
+        self.seg_base = 0
+        self.partner_floor = _INF
+
+    @staticmethod
+    def checked(what: str, capacity: float) -> float:
+        """``capacity`` as a float; ValueError unless it is positive."""
+        if not capacity > 0:
+            raise ValueError(f"{what} must be positive, got {capacity!r}")
+        return float(capacity)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Link({self.name}, cap={self.capacity / MB:.1f}MB/s, n={len(self.flows)})"
+
+
+class Nic:
+    """A full-duplex network interface: one :class:`Link` per direction."""
+
+    __slots__ = ("name", "up", "down")
 
     def __init__(self, name: str, up_capacity: float, down_capacity: float | None = None):
         self.name = name
-        self.up_capacity = float(up_capacity)
-        self.down_capacity = float(down_capacity if down_capacity is not None else up_capacity)
-        self.up_flows: Dict[Flow, None] = {}
-        self.down_flows: Dict[Flow, None] = {}
-        self.up_share = self.up_capacity
-        self.down_share = self.down_capacity
-        #: lazy cohort records, created by FlowNetwork.add_nic in cohort mode
-        self.up_dir: Optional[_Dir] = None
-        self.down_dir: Optional[_Dir] = None
+        self.up = Link(f"{name}:up", up_capacity)
+        self.down = Link(
+            f"{name}:down", up_capacity if down_capacity is None else down_capacity
+        )
+
+    @property
+    def up_capacity(self) -> float:
+        return self.up.capacity
+
+    @property
+    def down_capacity(self) -> float:
+        return self.down.capacity
 
     def __repr__(self) -> str:
-        return f"Nic({self.name}, up={self.up_capacity / MB:.1f}MB/s)"
+        return f"Nic({self.name}, up={self.up.capacity / MB:.1f}MB/s)"
 
 
 class Flow:
     """A bulk transfer in flight. Internal to :class:`FlowNetwork`.
 
-    ``wake_seq`` is the flow's generation counter: it is bumped on every rate
-    change (and on completion), which lazily invalidates any completion-heap
-    entries pushed under earlier generations. ``ctime`` is the absolute
-    simulated time at which the flow completes under its current rate.
+    ``links`` is the flow's path: source uplink, destination downlink, then
+    any trunks. ``gen`` is the flow's generation counter: it is bumped on
+    every rate change (and on completion or abort), which lazily invalidates
+    completion-heap entries pushed under earlier generations. ``ctime`` is
+    the absolute simulated time at which the flow completes under its
+    current rate.
     """
 
     __slots__ = (
-        "src",
-        "dst",
-        "size",
-        "remaining",
-        "rate",
-        "t_last",
-        "ctime",
-        "done",
-        "wake_seq",
-        "kind",
-        "span",
-        "home",
-        "seg_idx",
-        "links",
-        "scope",
+        "src", "dst", "size", "remaining", "rate", "t_last", "ctime", "done",
+        "gen", "kind", "span", "links", "scope", "home", "seg_idx",
     )
 
-    def __init__(self, src: Nic, dst: Nic, size: float, done: Event, kind: str):
+    def __init__(
+        self, src: Nic, dst: Nic, size: float, done: Event, kind: str,
+        links: Tuple[Link, ...],
+    ):
         self.src = src
         self.dst = dst
         self.size = float(size)
@@ -166,79 +187,17 @@ class Flow:
         self.t_last = 0.0
         self.ctime = 0.0
         self.done = done
-        self.wake_seq = 0
+        self.gen = 0
         self.kind = kind
         self.span = None  # observability: set by transfer() when tracing
-        #: cohort mode: the link direction whose share is this flow's rate
-        #: (its bottleneck side) and the absolute index of the first segment
-        #: of that direction's history not yet applied to ``remaining``
-        self.home: Optional[_Dir] = None
-        self.seg_idx = 0
-        #: path mode: trunk links on the flow's path (empty when intra-rack
-        #: or no topology); tier label for traffic accounting (None = flat)
-        self.links: Tuple[_PLink, ...] = ()
+        self.links = links
+        #: tier label for traffic accounting (None = no topology)
         self.scope: Optional[str] = None
-
-
-class _Dir:
-    """Equal-share cohort state for one link direction (cohort mode).
-
-    ``share`` is the current equal-share level (``capacity / max(1, n)``,
-    same floats as the legacy per-flow path). ``segs`` is the closed history
-    of past share levels as ``(t_end, share)`` pairs: a lazy flow replays the
-    pending suffix (from its ``seg_idx``) to materialize exactly the
-    subtract-and-clamp products the eager path would have applied at each
-    boundary. ``natives`` holds the flows bottlenecked here, sorted by
-    remaining bytes (ties in join order — insort_right is stable), so
-    ``natives[0]`` is always the direction's next completion. ``foreign``
-    holds crossing flows bottlenecked on their other side. ``epoch``
-    invalidates completion-heap entries; ``partner_floor`` is a sound lower
-    bound on the natives' partner-side shares, letting a share increase skip
-    the switch-out scan when no native can possibly leave.
-    """
-
-    __slots__ = (
-        "nic", "up", "share", "epoch", "natives", "foreign",
-        "segs", "seg_base", "partner_floor",
-    )
-
-    def __init__(self, nic: Nic, up: bool, capacity: float):
-        self.nic = nic
-        self.up = up
-        self.share = capacity
-        self.epoch = 0
-        self.natives: List[Flow] = []
-        self.foreign: Dict[Flow, None] = {}
-        self.segs: List[Tuple[float, float]] = []
-        self.seg_base = 0
-        self.partner_floor = _INF
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        d = "up" if self.up else "down"
-        return (
-            f"_Dir({self.nic.name}.{d}, share={self.share:.1f}, "
-            f"natives={len(self.natives)}, foreign={len(self.foreign)})"
-        )
-
-
-class _PLink:
-    """One direction of a shared trunk (rack uplink, pod trunk, core).
-
-    Path-mode analogue of a NIC direction: an insertion-ordered flow set
-    plus a cached equal-share level, maintained on every flow arrival and
-    departure so rebalances read the share in O(1).
-    """
-
-    __slots__ = ("name", "capacity", "flows", "share")
-
-    def __init__(self, name: str, capacity: float):
-        self.name = name
-        self.capacity = float(capacity)
-        self.flows: Dict[Flow, None] = {}
-        self.share = self.capacity
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_PLink({self.name}, cap={self.capacity / MB:.1f}MB/s, n={len(self.flows)})"
+        #: cohort engine: the link whose share is this flow's rate (its
+        #: bottleneck side) and the absolute index of the first segment of
+        #: that link's history not yet applied to ``remaining``
+        self.home: Optional[Link] = None
+        self.seg_idx = 0
 
 
 class FlowNetwork:
@@ -253,23 +212,18 @@ class FlowNetwork:
         message_threshold: int = 4096,
         per_message_overhead: float = 0.02 * MILLISECONDS,
         message_header_bytes: int = 66,
-        rebalance: Optional[str] = None,
         topology: Optional["Topology"] = None,
     ):
         if fairness not in ("equal-share", "maxmin"):
             raise ValueError(f"unknown fairness discipline {fairness!r}")
-        if rebalance is None:
-            rebalance = DEFAULT_REBALANCE
-        if rebalance not in ("cohort", "legacy"):
-            raise ValueError(f"unknown rebalance engine {rebalance!r}")
-        #: hierarchical fabric (None = flat switch). Multi-rack topologies
-        #: activate path mode; a single-rack one only adds tier accounting.
-        self.topology = topology
-        self._path = topology is not None and topology.multi_rack
-        if self._path and fairness != "equal-share":
+        multi_rack = topology is not None and topology.multi_rack
+        if multi_rack and fairness != "equal-share":
             raise ValueError(
                 "hierarchical (multi-rack) topology requires equal-share fairness"
             )
+        #: hierarchical fabric (None = flat switch). Multi-rack topologies
+        #: add trunks to paths; a single-rack one only adds tier accounting.
+        self.topology = topology
         self.env = env
         self.metrics = metrics if metrics is not None else Metrics()
         self.latency = latency
@@ -280,34 +234,36 @@ class FlowNetwork:
         #: observability: flow begin/end spans; inert unless a tracer is
         #: installed via :func:`repro.obs.install_tracer`
         self.tracer = NULL_TRACER
-        self.rebalance = rebalance
-        #: cohort engine active? (maxmin always runs the per-flow path — its
-        #: progressive filling is inherently global, see DESIGN.md §8; path
-        #: mode runs its own per-flow engine because a flow can cross an
-        #: arbitrary number of links, not the two _partner_dir assumes)
-        self._cohort = (
-            fairness == "equal-share" and rebalance == "cohort" and not self._path
-        )
-        #: path mode: trunk link registry and memoized (src, dst) -> trunks
-        self._trunks: Dict[str, _PLink] = {}
-        self._trunk_cache: Dict[Tuple[str, str], Tuple[_PLink, ...]] = {}
-        if self._path:
+        #: the cohort engine needs equal-share (one rate per bottleneck
+        #: link) and two-link paths; everything else runs per flow
+        self._cohort = fairness == "equal-share" and not multi_rack
+        if self._cohort:
+            self._rebalance = self._cohort_rebalance
+            self._detach = self._cohort_detach
+        else:
+            self._rebalance = self._flow_rebalance
+            self._detach = self._flow_detach
+        #: trunk link registry and memoized (src, dst) -> trunks
+        self._trunks: Dict[str, Link] = {}
+        self._trunk_cache: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
+        if multi_rack:
             self._build_trunks()
-        #: link directions touched by the current event, in encounter order;
-        #: flushed (epoch bump + head ETA repush) at the end of the event
-        self._dirty: Dict[_Dir, None] = {}
+        #: cohort engine: links touched by the current event, in encounter
+        #: order; flushed (generation bump + head ETA repush) at event end
+        self._dirty: Dict[Link, None] = {}
         #: share changes of the current event awaiting bottleneck settling:
-        #: ``(dir, old_share)`` in change order. Settling is deferred until
+        #: ``(link, old_share)`` in change order. Settling is deferred until
         #: every share of the event is final so switch decisions compare
         #: final values — mid-event comparisons against stale partner shares
         #: could move a flow twice and subdivide its float products.
-        self._pending: List[Tuple[_Dir, float]] = []
+        self._pending: List[Tuple[Link, float]] = []
         self._nics: Dict[str, Nic] = {}
         self._flows: Dict[Flow, None] = {}
-        #: min-heap of (completion time, push tie-breaker, flow generation,
-        #: flow); entries whose generation no longer matches the flow's
-        #: ``wake_seq`` are stale and dropped lazily.
-        self._completions: List[Tuple[float, int, int, Flow]] = []
+        #: min-heap of (completion time, push tie-breaker, owner generation,
+        #: owner, flow); the owner is the flow (per-flow engine) or its
+        #: bottleneck link (cohort engine). Entries whose generation no
+        #: longer matches the owner's are stale and dropped lazily.
+        self._completions: List[Tuple[float, int, int, object, Flow]] = []
         self._push_seq = 0
         #: generation of the currently armed sentinel timer (stale timers
         #: no-op on fire) and the absolute time it targets (None = no timer).
@@ -321,9 +277,6 @@ class FlowNetwork:
         if name in self._nics:
             raise ValueError(f"duplicate NIC name {name!r}")
         nic = Nic(name, up_capacity, down_capacity)
-        if self._cohort:
-            nic.up_dir = _Dir(nic, True, nic.up_capacity)
-            nic.down_dir = _Dir(nic, False, nic.down_capacity)
         self._nics[name] = nic
         return nic
 
@@ -334,27 +287,22 @@ class FlowNetwork:
     def active_flow_count(self) -> int:
         return len(self._flows)
 
-    # ------------------------------------------------------------------ #
-    # hierarchical trunks (path mode)
-    # ------------------------------------------------------------------ #
     def _build_trunks(self) -> None:
         topo = self.topology
-        trunks = self._trunks
-        for r in range(topo.n_racks):
-            trunks[f"rack{r}:up"] = _PLink(f"rack{r}:up", topo.rack_uplink)
-            trunks[f"rack{r}:down"] = _PLink(f"rack{r}:down", topo.rack_uplink)
+        names = [(f"rack{r}", topo.rack_uplink) for r in range(topo.n_racks)]
         if topo.racks_per_pod:
-            for p in range(topo.n_pods):
-                trunks[f"pod{p}:up"] = _PLink(f"pod{p}:up", topo.pod_uplink)
-                trunks[f"pod{p}:down"] = _PLink(f"pod{p}:down", topo.pod_uplink)
+            names += [(f"pod{p}", topo.pod_uplink) for p in range(topo.n_pods)]
+        for name, capacity in names:
+            for d in (":up", ":down"):
+                self._trunks[name + d] = Link(name + d, capacity)
         if topo.core_capacity is not None:
-            trunks["core"] = _PLink("core", topo.core_capacity)
+            self._trunks["core"] = Link("core", topo.core_capacity)
 
-    def trunk(self, name: str) -> _PLink:
+    def trunk(self, name: str) -> Link:
         """Look up a trunk link by name (``rack3:up``, ``pod0:down``, ``core``)."""
         return self._trunks[name]
 
-    def _trunk_path(self, src: Nic, dst: Nic) -> Tuple[_PLink, ...]:
+    def _trunk_path(self, src: Nic, dst: Nic) -> Tuple[Link, ...]:
         """Trunk links a src->dst flow crosses, memoized per host pair.
 
         Intra-rack flows cross none (the top-of-rack switch is non-blocking);
@@ -369,7 +317,7 @@ class FlowNetwork:
         r1 = topo.rack(src.name)
         r2 = topo.rack(dst.name)
         if r1 == r2:
-            path: Tuple[_PLink, ...] = ()
+            path: Tuple[Link, ...] = ()
         else:
             trunks = self._trunks
             links = [trunks[f"rack{r1}:up"]]
@@ -387,47 +335,6 @@ class FlowNetwork:
         self._trunk_cache[key] = path
         return path
 
-    def set_trunk_capacity(self, name: str, capacity: float) -> None:
-        """Change a trunk's capacity mid-run (fault injection: uplink squeeze)."""
-        if capacity <= 0:
-            raise ValueError(f"trunk capacity must be positive, got {capacity}")
-        tl = self._trunks[name]
-        tl.capacity = float(capacity)
-        tl.share = tl.capacity / max(1, len(tl.flows))
-        self._rebalance_path((tl.flows,))
-
-    def _path_rate(self, flow: Flow) -> float:
-        """min share over the flow's endpoints and every trunk on its path."""
-        rate = flow.src.up_share
-        ds = flow.dst.down_share
-        if ds < rate:
-            rate = ds
-        for tl in flow.links:
-            s = tl.share
-            if s < rate:
-                rate = s
-        return rate
-
-    def _rebalance_path(self, flow_sets: Iterable[Dict[Flow, None]]) -> None:
-        """Path-mode rebalance: recompute every flow crossing a touched link.
-
-        ``flow_sets`` are the flow dicts of the link directions whose share
-        changed (NIC up/down and/or trunks). The union is collected in
-        encounter order (insertion-ordered dicts keep this deterministic)
-        and flows whose min-share rate is unchanged are skipped, exactly
-        like :meth:`_rebalance_pair`.
-        """
-        now = self.env.now
-        seen: Dict[Flow, None] = {}
-        for fs in flow_sets:
-            for f in fs:
-                seen[f] = None
-        for f in seen:
-            rate = self._path_rate(f)
-            if rate != f.rate:
-                self._set_rate(f, rate, now)
-        self._arm_sentinel()
-
     # ------------------------------------------------------------------ #
     # transfers
     # ------------------------------------------------------------------ #
@@ -444,7 +351,10 @@ class FlowNetwork:
             # Event fired via schedule_at, minus the extra allocation.
             return self.message(src, dst, nbytes, kind=kind)
         done = Event(self.env)
-        flow = Flow(src, dst, nbytes, done, kind)
+        links = (src.up, dst.down)
+        if self._trunks:
+            links += self._trunk_path(src, dst)
+        flow = Flow(src, dst, nbytes, done, kind, links)
         flow.t_last = self.env.now
         topo = self.topology
         if topo is not None:
@@ -457,40 +367,9 @@ class FlowNetwork:
                 f"flow:{src.name}->{dst.name}", "net", nbytes=int(nbytes), kind=kind
             )
         self._flows[flow] = None
-        src.up_flows[flow] = None
-        up_share = src.up_capacity / len(src.up_flows)
-        src.up_share = up_share
-        dst.down_flows[flow] = None
-        down_share = dst.down_capacity / len(dst.down_flows)
-        dst.down_share = down_share
-        if self._path:
-            links = self._trunk_path(src, dst)
-            if links:
-                flow.links = links
-                for tl in links:
-                    tl.flows[flow] = None
-                    tl.share = tl.capacity / len(tl.flows)
-            self._rebalance_path(
-                (src.up_flows, dst.down_flows) + tuple(tl.flows for tl in links)
-            )
-        elif self._cohort:
-            now = self.env.now
-            self._reshare(src.up_dir, up_share, now)
-            self._reshare(dst.down_dir, down_share, now)
-            # The new flow's bottleneck is the strictly tighter side (ties
-            # stay on the uplink — same value either way, matching the
-            # legacy `min(up, down)` with its `ds < rate` strict compare).
-            if down_share < up_share:
-                home, other = dst.down_dir, src.up_dir
-            else:
-                home, other = src.up_dir, dst.down_dir
-            other.foreign[flow] = None
-            self._insert_native(home, flow, now, other)
-            self._flush_dirty(now)
-        elif self.fairness == "equal-share":
-            self._rebalance_pair(src, dst)
-        else:
-            self._rebalance_global()
+        for link in links:
+            link.flows[flow] = None
+        self._rebalance(links, flow)
         return done
 
     def message(
@@ -507,8 +386,8 @@ class FlowNetwork:
         if src is dst:
             delay = self.per_message_overhead
         else:
-            up = src.up_capacity
-            down = dst.down_capacity
+            up = src.up.capacity
+            down = dst.down.capacity
             delay = (
                 self.latency
                 + self.per_message_overhead
@@ -538,36 +417,22 @@ class FlowNetwork:
     ) -> None:
         """Change a NIC's capacities mid-run (fault injection: NIC degradation).
 
-        In-flight flows crossing the NIC are rebalanced immediately; flows on
-        other links are untouched (equal-share) or globally refilled (maxmin).
+        Both values are validated before either is applied. In-flight flows
+        crossing the NIC are rebalanced immediately; flows on other links
+        are untouched (equal-share) or globally refilled (maxmin).
         """
-        if up_capacity <= 0:
-            raise ValueError(f"NIC capacity must be positive, got {up_capacity}")
-        if down_capacity is not None and down_capacity <= 0:
-            # An explicit non-positive downlink used to slip through and
-            # corrupt every share computed from it (zero or negative rates).
-            raise ValueError(
-                f"NIC capacity must be positive, got down_capacity={down_capacity}"
-            )
-        nic.up_capacity = float(up_capacity)
-        nic.down_capacity = float(
-            down_capacity if down_capacity is not None else up_capacity
-        )
-        up_share = nic.up_capacity / max(1, len(nic.up_flows))
-        down_share = nic.down_capacity / max(1, len(nic.down_flows))
-        nic.up_share = up_share
-        nic.down_share = down_share
-        if self._path:
-            self._rebalance_path((nic.up_flows, nic.down_flows))
-        elif self._cohort:
-            now = self.env.now
-            self._reshare(nic.up_dir, up_share, now)
-            self._reshare(nic.down_dir, down_share, now)
-            self._flush_dirty(now)
-        elif self.fairness == "equal-share":
-            self._rebalance_pair(nic, nic)
-        else:
-            self._rebalance_global()
+        up = Link.checked("up_capacity", up_capacity)
+        down = up if down_capacity is None else Link.checked("down_capacity", down_capacity)
+        nic.up.capacity = up
+        nic.down.capacity = down
+        self._rebalance((nic.up, nic.down))
+
+    def set_trunk_capacity(self, name: str, capacity: float) -> None:
+        """Change a trunk's capacity mid-run (fault injection: uplink squeeze)."""
+        capacity = Link.checked("trunk capacity", capacity)
+        link = self._trunks[name]
+        link.capacity = capacity
+        self._rebalance((link,))
 
     def fail_nic(self, nic: Nic, cause: str = "nic failure") -> None:
         """Abort every flow crossing ``nic`` (host crash / link loss).
@@ -577,80 +442,97 @@ class FlowNetwork:
         transfer callers see the loss exactly like an RPC failure. Bytes
         already on the wire are charged to the traffic accounting.
         """
-        victims = list(nic.up_flows) + list(nic.down_flows)
+        victims = list(nic.up.flows) + list(nic.down.flows)
         if not victims:
             return
         now = self.env.now
-        cohort = self._cohort
-        touched: Dict[Nic, None] = {}  # insertion-ordered: determinism
-        touched_trunks: Dict[_PLink, None] = {}
+        nics: Dict[Nic, None] = {}  # insertion-ordered: determinism
+        trunks: Dict[Link, None] = {}
         for flow in victims:
-            self._flows.pop(flow, None)
-            src, dst = flow.src, flow.dst
-            src.up_flows.pop(flow, None)
-            dst.down_flows.pop(flow, None)
-            touched[src] = None
-            touched[dst] = None
-            for tl in flow.links:
-                tl.flows.pop(flow, None)
-                touched_trunks[tl] = None
-            if cohort:
-                home = flow.home
-                if home is not None:
-                    # materialize at the pre-failure rate: replay the pending
-                    # closed segments, then the open partial to now — the
-                    # exact products the eager path would have applied
-                    self._replay(flow)
-                    t = flow.t_last
-                    if t < now:
-                        rem = flow.remaining - home.share * (now - t)
-                        flow.remaining = rem if rem > 0.0 else 0.0
-                        flow.t_last = now
-                    partner = self._partner_dir(flow)
-                    self._remove_native(home, flow)
-                    del partner.foreign[flow]
-                    flow.home = None
-            elif flow.rate > 0.0:
-                rem = flow.remaining - flow.rate * (now - flow.t_last)
-                flow.remaining = rem if rem > 0.0 else 0.0
-                flow.t_last = now
-            flow.wake_seq += 1  # invalidate completion-heap entries
-            self.metrics.add_traffic(flow.size - flow.remaining, flow.kind)
+            # materialize at the pre-failure rate, then leave every link
+            self._detach(flow, now, True)
+            del self._flows[flow]
+            nics[flow.src] = None
+            nics[flow.dst] = None
+            for link in flow.links:
+                del link.flows[flow]
+            for link in flow.links[2:]:
+                trunks[link] = None
+            flow.gen += 1  # invalidate completion-heap entries
+            sent = flow.size - flow.remaining
+            self.metrics.add_traffic(sent, flow.kind)
             if flow.scope is not None:
-                self.metrics.add_topo_traffic(
-                    flow.scope, flow.kind, flow.size - flow.remaining
-                )
+                self.metrics.add_topo_traffic(flow.scope, flow.kind, sent)
             span = flow.span
             if span is not None:
                 span.set_error(f"aborted: {cause}")
                 span.finish()
                 flow.span = None
             flow.done.fail(ProviderUnavailableError(cause))
-        for t in touched:
-            t.up_share = t.up_capacity / max(1, len(t.up_flows))
-            t.down_share = t.down_capacity / max(1, len(t.down_flows))
-        for tl in touched_trunks:
-            tl.share = tl.capacity / max(1, len(tl.flows))
-        if self._path:
-            self._rebalance_path(
-                tuple(t.up_flows for t in touched)
-                + tuple(t.down_flows for t in touched)
-                + tuple(tl.flows for tl in touched_trunks)
-            )
-        elif cohort:
-            for t in touched:
-                self._reshare(t.up_dir, t.up_share, now)
-                self._reshare(t.down_dir, t.down_share, now)
-            self._flush_dirty(now)
-        elif self.fairness == "equal-share":
-            for t in touched:
-                self._rebalance_pair(t, t)
-        else:
-            self._rebalance_global()
+        self._rebalance(
+            [n.up for n in nics] + [n.down for n in nics] + list(trunks)
+        )
+
+    def _complete(self, flow: Flow) -> None:
+        env = self.env
+        self._detach(flow, env.now, False)
+        del self._flows[flow]
+        links = flow.links
+        for link in links:
+            del link.flows[flow]
+        flow.gen += 1  # invalidate any remaining heap entries
+        self.metrics.add_traffic(flow.size, flow.kind)
+        if flow.scope is not None:
+            self.metrics.add_topo_traffic(flow.scope, flow.kind, flow.size)
+        span = flow.span
+        if span is not None:
+            elapsed = env.now - span.t0
+            if elapsed > 0.0:
+                span.set(achieved_bw=flow.size / elapsed)
+            span.finish()
+            flow.span = None
+        self._rebalance(links)
+        # Last byte still pays propagation latency; deliver `done` directly.
+        env.schedule_at(flow.done, env.now + self.latency)
 
     # ------------------------------------------------------------------ #
-    # rate maintenance
+    # per-flow engine: multi-rack paths and maxmin
     # ------------------------------------------------------------------ #
+    def _flow_rebalance(self, links: Sequence[Link], arrival: Optional[Flow] = None) -> None:
+        """Recompute shares of ``links``, then the rates that may have moved.
+
+        Equal-share walks the union of the touched links' flows in encounter
+        order (insertion-ordered dicts keep this deterministic); maxmin
+        refills every flow. Flows whose rate is unchanged are skipped. A new
+        flow needs no special case: it sits on the links with rate 0.
+        """
+        for link in links:
+            link.share = link.capacity / max(1, len(link.flows))
+        now = self.env.now
+        if self.fairness == "maxmin":
+            for flow, rate in self._progressive_filling():
+                if rate != flow.rate:
+                    self._set_rate(flow, rate, now)
+        else:
+            seen: Dict[Flow, None] = {}
+            for link in links:
+                seen.update(link.flows)
+            for flow in seen:
+                rate = _INF
+                for link in flow.links:
+                    share = link.share
+                    if share < rate:
+                        rate = share
+                if rate != flow.rate:
+                    self._set_rate(flow, rate, now)
+        self._arm_sentinel()
+
+    def _flow_detach(self, flow: Flow, now: float, aborted: bool) -> None:
+        if aborted and flow.rate > 0.0:
+            rem = flow.remaining - flow.rate * (now - flow.t_last)
+            flow.remaining = rem if rem > 0.0 else 0.0
+            flow.t_last = now
+
     def _set_rate(self, flow: Flow, new_rate: float, now: float) -> None:
         """Apply a rate change: advance progress, bump generation, push ETA.
 
@@ -664,30 +546,121 @@ class FlowNetwork:
             flow.remaining = rem if rem > 0.0 else 0.0
         flow.t_last = now
         flow.rate = new_rate
-        flow.wake_seq += 1
+        flow.gen += 1
         if new_rate > 0.0:
             ctime = now + flow.remaining / new_rate
             flow.ctime = ctime
             self._push_seq += 1
-            heappush(self._completions, (ctime, self._push_seq, flow.wake_seq, flow))
+            heappush(self._completions, (ctime, self._push_seq, flow.gen, flow, flow))
+
+    def _progressive_filling(self) -> List[Tuple[Flow, float]]:
+        """Exact max-min fairness over all active flows (water filling).
+
+        Heap-driven: each link carries (residual capacity, unfixed flow
+        count); the globally tightest link fixes all its unfixed flows at
+        its share level, then the other links on their paths are re-pushed.
+        Lazy invalidation via per-link version counters. O(F log L) instead
+        of repeated O(links x flows) scans.
+        """
+        flows = self._flows
+        if not flows:
+            return []
+        # record: [residual, count, unfixed-flows dict, version, index]
+        records: Dict[Link, list] = {}
+        record_list: List[list] = []
+        flow_records: Dict[Flow, List[list]] = {}
+        for flow in flows:
+            mine = []
+            for link in flow.links:
+                rec = records.get(link)
+                if rec is None:
+                    rec = records[link] = [link.capacity, 0, {}, 0, len(record_list)]
+                    record_list.append(rec)
+                rec[1] += 1
+                rec[2][flow] = None
+                mine.append(rec)
+            flow_records[flow] = mine
+        heap: List[Tuple[float, int, int]] = [
+            (rec[0] / rec[1], rec[4], rec[3]) for rec in record_list
+        ]
+        heapify(heap)
+        rates: List[Tuple[Flow, float]] = []
+        n_unfixed = len(flows)
+        while n_unfixed and heap:
+            level, idx, ver = heappop(heap)
+            rec = record_list[idx]
+            if ver != rec[3] or rec[1] == 0:
+                continue  # stale entry
+            touched: Dict[int, list] = {}
+            for flow in list(rec[2]):
+                rates.append((flow, level))
+                n_unfixed -= 1
+                for other in flow_records[flow]:
+                    del other[2][flow]
+                    other[1] -= 1
+                    other[0] -= level
+                    if other is not rec:
+                        touched[other[4]] = other
+            rec[3] += 1  # saturated; invalidate pending entries
+            for other in touched.values():
+                other[3] += 1
+                if other[1] > 0:
+                    heappush(heap, (other[0] / other[1], other[4], other[3]))
+        return rates
 
     # ------------------------------------------------------------------ #
-    # cohort engine (equal-share): lazy per-link-direction rate epochs
+    # cohort engine (equal-share, two-link paths): lazy per-link epochs
     # ------------------------------------------------------------------ #
-    def _partner_dir(self, flow: Flow) -> _Dir:
-        """The link direction a flow crosses besides its bottleneck side."""
-        src_up = flow.src.up_dir
-        return flow.dst.down_dir if flow.home is src_up else src_up
+    def _cohort_rebalance(self, links: Sequence[Link], arrival: Optional[Flow] = None) -> None:
+        now = self.env.now
+        for link in links:
+            self._reshare(link, now)
+        if arrival is not None:
+            # The new flow's bottleneck is the strictly tighter side (ties
+            # stay on the uplink — the per-flow engine's strict min compare).
+            up, down = links
+            home, other = (down, up) if down.share < up.share else (up, down)
+            other.foreign[arrival] = None
+            self._insert_native(home, arrival, now, other)
+        self._flush_dirty(now)
+
+    def _cohort_detach(self, flow: Flow, now: float, aborted: bool) -> None:
+        home = flow.home
+        if aborted:
+            self._materialize(flow, now)
+        partner = self._partner(flow)
+        self._remove_native(home, flow)
+        del partner.foreign[flow]
+        flow.home = None
+
+    @staticmethod
+    def _partner(flow: Flow) -> Link:
+        """The link a flow crosses besides its bottleneck side."""
+        up, down = flow.links
+        return down if flow.home is up else up
+
+    def _materialize(self, flow: Flow, now: float) -> None:
+        """Bring ``(remaining, t_last)`` to ``now`` at the flow's current rate.
+
+        Replays the pending closed segments, then the open partial at the
+        home share — the exact products the per-flow engine applies.
+        """
+        self._replay(flow)
+        t = flow.t_last
+        if t < now:
+            rem = flow.remaining - flow.home.share * (now - t)
+            flow.remaining = rem if rem > 0.0 else 0.0
+            flow.t_last = now
 
     def _replay(self, flow: Flow, stop: Optional[int] = None) -> None:
         """Drain the flow's pending closed segments (exact materialization).
 
         Each pending segment ``(t_end, share)`` corresponds to one
-        subtract-and-clamp the eager per-flow path performed at that
-        boundary; replaying them in order reproduces the same float results
+        subtract-and-clamp the per-flow engine performs at that boundary;
+        replaying them in order reproduces the same float results
         bit-for-bit. ``stop`` (an absolute segment index) excludes a suffix —
         used when a bottleneck switch does not change the rate *value*, where
-        the eager path skipped the materialization entirely.
+        the per-flow engine skips the materialization entirely.
         """
         home = flow.home
         segs = home.segs
@@ -712,8 +685,8 @@ class FlowNetwork:
         """The flow's remaining bytes at ``now``, computed without mutating.
 
         Used as the insort key: probing a native mid-segment must not
-        materialize it (the eager path would not have touched it), so the
-        pending segments plus the open partial are applied to a local copy.
+        materialize it (the per-flow engine would not have touched it), so
+        the pending segments plus the open partial are applied to a copy.
         """
         home = flow.home
         segs = home.segs
@@ -734,7 +707,7 @@ class FlowNetwork:
                 rem = 0.0
         return rem
 
-    def _insert_native(self, d: _Dir, flow: Flow, now: float, partner: _Dir) -> None:
+    def _insert_native(self, d: Link, flow: Flow, now: float, partner: Link) -> None:
         """Make ``flow`` a native of ``d`` (its rate = d.share from now on)."""
         flow.home = d
         flow.seg_idx = d.seg_base + len(d.segs)
@@ -742,27 +715,25 @@ class FlowNetwork:
         if partner.share < d.partner_floor:
             d.partner_floor = partner.share
         insort_right(d.natives, flow, key=lambda g: self._virtual_rem(g, now))
-        if d not in self._dirty:
-            self._dirty[d] = None
+        self._dirty[d] = None
 
-    def _remove_native(self, d: _Dir, flow: Flow) -> None:
+    def _remove_native(self, d: Link, flow: Flow) -> None:
         d.natives.remove(flow)
-        if d not in self._dirty:
-            self._dirty[d] = None
+        self._dirty[d] = None
 
-    def _reshare(self, d: _Dir, new_share: float, now: float) -> None:
-        """Apply a share *value* change to one link direction.
+    def _reshare(self, d: Link, now: float) -> None:
+        """Recompute one link's share after its flow set or capacity changed.
 
-        Closes the current segment (recording the old level for lazy
-        replays) and queues the direction for bottleneck settling at event
-        end (:meth:`_settle`). Equal-value calls are no-ops, exactly like
-        the legacy path's skip-unchanged-rate.
+        A changed value closes the current segment (recording the old level
+        for lazy replays) and queues the link for bottleneck settling at
+        event end (:meth:`_settle`). An unchanged value is a no-op, exactly
+        like the per-flow engine's skip-unchanged-rate.
         """
+        new_share = d.capacity / max(1, len(d.flows))
         old = d.share
         if new_share == old:
             return
-        if d not in self._dirty:
-            self._dirty[d] = None
+        self._dirty[d] = None
         natives = d.natives
         if natives:
             segs = d.segs
@@ -784,7 +755,7 @@ class FlowNetwork:
         """Process the event's bottleneck switches, all shares final.
 
         A decrease can capture foreign flows whose other side is now looser;
-        an increase can lose natives to their other side. Each direction is
+        an increase can lose natives to their other side. Each link is
         reshared at most once per event, so ``old`` is the rate its natives
         actually had before now.
         """
@@ -799,7 +770,7 @@ class FlowNetwork:
                 self._expel(d, now, old)
         pending.clear()
 
-    def _absorb(self, d: _Dir, now: float) -> None:
+    def _absorb(self, d: Link, now: float) -> None:
         """After a share decrease: capture foreign flows now tighter here."""
         share = d.share
         moved: List[Flow] = []
@@ -817,34 +788,27 @@ class FlowNetwork:
             if hsegs and hsegs[-1][0] == now and hsegs[-1][1] == share:
                 # the home was reshared away from exactly our level: the
                 # flow's rate *value* is preserved across the switch, so the
-                # eager path skipped the materialization — replay everything
-                # except the just-closed segment, keeping (t_last, remaining)
+                # per-flow engine skips the materialization — replay all but
+                # the just-closed segment, keeping (t_last, remaining)
                 # spanning it
                 self._replay(f, home.seg_base + len(hsegs) - 1)
             else:
-                # rate value changes — the eager path materializes at now:
-                # pending segments, then the open partial at the old rate
-                # (home.share if the home was not reshared this event; if it
-                # was, the replay drains to now and the partial is empty)
-                self._replay(f)
-                t = f.t_last
-                if t < now:
-                    rem = f.remaining - home.share * (now - t)
-                    f.remaining = rem if rem > 0.0 else 0.0
-                    f.t_last = now
+                # the rate value changes: materialize at now (if the home
+                # was reshared this event the partial is empty)
+                self._materialize(f, now)
             self._remove_native(home, f)
             home.foreign[f] = None
             del d.foreign[f]
             self._insert_native(d, f, now, home)
 
-    def _expel(self, d: _Dir, now: float, old_share: float) -> None:
+    def _expel(self, d: Link, now: float, old_share: float) -> None:
         """After a share increase: hand off natives now tighter elsewhere."""
         share = d.share
         keep: List[Flow] = []
-        moved: List[Tuple[Flow, _Dir]] = []
+        moved: List[Tuple[Flow, Link]] = []
         floor = _INF
         for f in d.natives:
-            p = self._partner_dir(f)
+            p = self._partner(f)
             ps = p.share
             if ps < share:
                 moved.append((f, p))
@@ -859,151 +823,53 @@ class FlowNetwork:
         stop = d.seg_base + len(d.segs) - 1
         for f, p in moved:
             if p.share == old_share:
-                # the rate *value* is unchanged, so the eager path skipped
-                # this materialization: replay everything except the segment
-                # just closed, keeping (t_last, remaining) spanning it — the
-                # next product covers the whole constant-rate interval
+                # the rate *value* is unchanged, so the per-flow engine skips
+                # this materialization: replay all but the segment just
+                # closed, keeping (t_last, remaining) spanning it — the next
+                # product covers the whole constant-rate interval
                 self._replay(f, stop)
             else:
                 self._replay(f)
             d.foreign[f] = None
             del p.foreign[f]
             self._insert_native(p, f, now, d)
-        if d not in self._dirty:
-            self._dirty[d] = None
+        self._dirty[d] = None
 
     def _flush_dirty(self, now: float) -> None:
-        """End-of-event: settle switches, invalidate dirs, repush head ETAs."""
+        """End-of-event: settle switches, invalidate links, repush head ETAs."""
         self._settle(now)
         dirty = self._dirty
         if dirty:
             completions = self._completions
             for d in dirty:
-                d.epoch += 1
+                d.gen += 1
                 natives = d.natives
                 if natives:
                     head = natives[0]
                     self._replay(head)
                     # t_last may lag now after a value-preserving switch; the
-                    # ETA is the one the eager path pushed at that older
+                    # ETA is the one the per-flow engine pushed at that older
                     # materialization: t_last + remaining / share
                     ctime = head.t_last + head.remaining / d.share
                     head.ctime = ctime
                     self._push_seq += 1
-                    heappush(completions, (ctime, self._push_seq, d.epoch, d))
+                    heappush(completions, (ctime, self._push_seq, d.gen, d, head))
             dirty.clear()
         self._arm_sentinel()
-
-    def _rebalance_pair(self, src: Nic, dst: Nic) -> None:
-        """Equal-share rebalance after an arrival/departure on (src, dst).
-
-        Only the up-share of ``src`` and the down-share of ``dst`` changed,
-        so only flows crossing those two link directions can see a new rate.
-        """
-        now = self.env.now
-        for flow in src.up_flows:
-            rate = flow.src.up_share
-            ds = flow.dst.down_share
-            if ds < rate:
-                rate = ds
-            if rate != flow.rate:
-                self._set_rate(flow, rate, now)
-        for flow in dst.down_flows:
-            if flow.src is src:
-                continue  # already handled in the uplink pass
-            rate = flow.src.up_share
-            ds = flow.dst.down_share
-            if ds < rate:
-                rate = ds
-            if rate != flow.rate:
-                self._set_rate(flow, rate, now)
-        self._arm_sentinel()
-
-    def _rebalance_global(self) -> None:
-        """Max-min rebalance: recompute every active flow's rate."""
-        now = self.env.now
-        for flow, rate in self._progressive_filling():
-            if rate != flow.rate:
-                self._set_rate(flow, rate, now)
-        self._arm_sentinel()
-
-    def _progressive_filling(self) -> List[Tuple[Flow, float]]:
-        """Exact max-min fairness over all active flows (water filling).
-
-        Heap-driven: each link direction carries (residual capacity, unfixed
-        flow count); the globally tightest link fixes all its unfixed flows
-        at its share level, then the other endpoints' shares are re-pushed.
-        Lazy invalidation via per-link version counters. O(F log L) instead
-        of repeated O(links x flows) scans.
-        """
-        flows = self._flows
-        if not flows:
-            return []
-        # Link record: [residual, count, unfixed-flows dict, version, index].
-        links: Dict[Tuple[str, Nic], list] = {}
-        link_list: List[list] = []
-        flow_links: Dict[Flow, Tuple[list, list]] = {}
-        # many flows share a (src, dst) pair (fan-in to a repository node);
-        # memoize the resolved link tuple per pair to skip repeat lookups
-        pair_links: Dict[Tuple[Nic, Nic], Tuple[list, list]] = {}
-        for flow in flows:
-            pair = (flow.src, flow.dst)
-            pl = pair_links.get(pair)
-            if pl is None:
-                key_u = ("u", flow.src)
-                lu = links.get(key_u)
-                if lu is None:
-                    lu = [flow.src.up_capacity, 0, {}, 0, len(link_list)]
-                    links[key_u] = lu
-                    link_list.append(lu)
-                key_d = ("d", flow.dst)
-                ld = links.get(key_d)
-                if ld is None:
-                    ld = [flow.dst.down_capacity, 0, {}, 0, len(link_list)]
-                    links[key_d] = ld
-                    link_list.append(ld)
-                pl = (lu, ld)
-                pair_links[pair] = pl
-            else:
-                lu, ld = pl
-            lu[1] += 1
-            lu[2][flow] = None
-            ld[1] += 1
-            ld[2][flow] = None
-            flow_links[flow] = pl
-        heap: List[Tuple[float, int, int]] = [
-            (link[0] / link[1], link[4], link[3]) for link in link_list
-        ]
-        heapify(heap)
-        rates: List[Tuple[Flow, float]] = []
-        n_unfixed = len(flows)
-        while n_unfixed and heap:
-            share, idx, ver = heappop(heap)
-            link = link_list[idx]
-            if ver != link[3] or link[1] == 0:
-                continue  # stale entry
-            level = share
-            touched: Dict[int, list] = {}
-            for flow in list(link[2]):
-                rates.append((flow, level))
-                n_unfixed -= 1
-                lu, ld = flow_links[flow]
-                for other in (lu, ld):
-                    del other[2][flow]
-                    other[1] -= 1
-                    other[0] -= level
-                    if other is not link:
-                        touched[other[4]] = other
-            link[3] += 1  # saturated; invalidate pending entries
-            for other in touched.values():
-                other[3] += 1
-                if other[1] > 0:
-                    heappush(heap, (other[0] / other[1], other[4], other[3]))
-        return rates
 
     # ------------------------------------------------------------------ #
     # completion sentinel
     # ------------------------------------------------------------------ #
+    def _head(self):
+        """The earliest live completion entry (stale ones are dropped)."""
+        heap = self._completions
+        while heap:
+            head = heap[0]
+            if head[2] == head[3].gen:
+                return head
+            heappop(heap)
+        return None
+
     def _arm_sentinel(self) -> None:
         """Ensure one timer is pending at the earliest valid completion time.
 
@@ -1012,28 +878,10 @@ class FlowNetwork:
         head moved earlier, a fresh timer is armed and the generation bump
         makes the old one a no-op.
         """
-        heap = self._completions
-        if self._cohort:
-            # entries are (ctime, push_seq, epoch, _Dir): stale when the
-            # direction's epoch moved on or it has no natives left
-            while heap:
-                head = heap[0]
-                d = head[3]
-                if head[2] != d.epoch or not d.natives:
-                    heappop(heap)
-                    continue
-                break
-        else:
-            flows = self._flows
-            while heap:
-                head = heap[0]
-                if head[2] != head[3].wake_seq or head[3] not in flows:
-                    heappop(heap)
-                    continue
-                break
-        if not heap:
+        head = self._head()
+        if head is None:
             return
-        t = heap[0][0]
+        t = head[0]
         if self._sentinel_time is not None and self._sentinel_time <= t:
             return
         self._sentinel_gen += 1
@@ -1047,77 +895,14 @@ class FlowNetwork:
         if ev._value != self._sentinel_gen:
             return  # superseded by an earlier-armed sentinel
         self._sentinel_time = None
-        heap = self._completions
-        cohort = self._cohort
-        if cohort:
-            while heap:
-                head = heap[0]
-                d = head[3]
-                if head[2] != d.epoch or not d.natives:
-                    heappop(heap)
-                    continue
-                break
-        else:
-            flows = self._flows
-            while heap:
-                head = heap[0]
-                if head[2] != head[3].wake_seq or head[3] not in flows:
-                    heappop(heap)
-                    continue
-                break
-        if not heap:
+        head = self._head()
+        if head is None:
             return
-        if heap[0][0] <= self.env.now:
+        if head[0] <= self.env.now:
             # Complete exactly one flow; the rebalance it triggers re-arms
             # the sentinel (a tied completion fires again at the same time),
             # which keeps completion ordering identical to per-flow timers.
-            entry = heappop(heap)
-            self._complete(entry[3].natives[0] if cohort else entry[3])
+            heappop(self._completions)
+            self._complete(head[4])
         else:
             self._arm_sentinel()
-
-    def _complete(self, flow: Flow) -> None:
-        self._flows.pop(flow, None)
-        src, dst = flow.src, flow.dst
-        src.up_flows.pop(flow, None)
-        up_share = src.up_capacity / max(1, len(src.up_flows))
-        src.up_share = up_share
-        dst.down_flows.pop(flow, None)
-        down_share = dst.down_capacity / max(1, len(dst.down_flows))
-        dst.down_share = down_share
-        flow.wake_seq += 1  # invalidate any remaining heap entries
-        self.metrics.add_traffic(flow.size, flow.kind)
-        if flow.scope is not None:
-            self.metrics.add_topo_traffic(flow.scope, flow.kind, flow.size)
-        span = flow.span
-        if span is not None:
-            elapsed = self.env.now - span.t0
-            if elapsed > 0.0:
-                span.set(achieved_bw=flow.size / elapsed)
-            span.finish()
-            flow.span = None
-        if self._path:
-            links = flow.links
-            for tl in links:
-                del tl.flows[flow]
-                tl.share = tl.capacity / max(1, len(tl.flows))
-            self._rebalance_path(
-                (src.up_flows, dst.down_flows) + tuple(tl.flows for tl in links)
-            )
-        elif self._cohort:
-            now = self.env.now
-            home = flow.home
-            partner = self._partner_dir(flow)
-            self._remove_native(home, flow)
-            del partner.foreign[flow]
-            flow.home = None
-            self._reshare(src.up_dir, up_share, now)
-            self._reshare(dst.down_dir, down_share, now)
-            self._flush_dirty(now)
-        elif self.fairness == "equal-share":
-            self._rebalance_pair(src, dst)
-        else:
-            self._rebalance_global()
-        # Last byte still pays propagation latency; deliver `done` directly.
-        env = self.env
-        env.schedule_at(flow.done, env.now + self.latency)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.calibration import Calibration, ImageSpec
-from repro.cloud import build_cloud
+from repro.cloud import build_cloud, deploy
 from repro.common.units import KiB, MiB
+from repro.vmsim import make_image
 
 SMALL = Calibration(
     image=ImageSpec(size=32 * MiB, chunk_size=256 * KiB, boot_touched_bytes=4 * MiB)
@@ -60,3 +61,32 @@ class TestBuildCloud:
         cloud = build_cloud(2, seed=1, calib=SMALL)
         svc = next(iter(cloud.blobseer.data_services.values()))
         assert svc._buffer.capacity == float(SMALL.service.provider_write_buffer)
+
+
+class TestFairnessFullStack:
+    """Max-min fairness through the whole stack at small scale.
+
+    The fairness ablation (``make bench``, not run in CI) checks that the
+    equal-share approximation is conservative; this is the same invariant
+    on a deployment small enough for the tier-1 suite. Three dedicated
+    providers feeding six instances make the two rules part ways.
+    """
+
+    CALIB = Calibration(
+        image=ImageSpec(size=64 * MiB, chunk_size=256 * KiB, boot_touched_bytes=16 * MiB)
+    )
+
+    def _deploy(self, fairness):
+        cloud = build_cloud(8, seed=5, calib=self.CALIB, fairness=fairness, data_nodes=3)
+        image = make_image(
+            self.CALIB.image.size, self.CALIB.image.boot_touched_bytes, n_regions=8
+        )
+        result = deploy(cloud, image, 6, "mirror")
+        assert cloud.fabric.network.active_flow_count == 0
+        return result
+
+    def test_equal_share_never_faster_than_maxmin(self):
+        maxmin = self._deploy("maxmin")
+        equal = self._deploy("equal-share")
+        assert len(maxmin.boot_times) == len(equal.boot_times) == 6
+        assert equal.completion_time >= maxmin.completion_time * 0.999

@@ -13,6 +13,7 @@ import pytest
 from repro.calibration import Calibration, ImageSpec
 from repro.cloud import build_cloud, deploy, snapshot_all
 from repro.common.units import KiB, MiB
+from repro.topo import Topology
 from repro.vmsim import make_image
 
 CALIB = Calibration(
@@ -65,117 +66,111 @@ def test_distinct_seeds_diverge():
     assert cloud.env.now != a["now"] or cloud.env.event_count != a["events"]
 
 
-class _engine:
-    """Force a rebalance engine (cohort or legacy) for the enclosed build."""
+def _engine_kw(engine):
+    """``build_cloud`` arguments that select the flow engine.
 
-    def __init__(self, rebalance):
-        self.rebalance = rebalance
-
-    def __enter__(self):
-        import repro.simkit.network as netmod
-
-        self._netmod = netmod
-        self._prev = netmod.DEFAULT_REBALANCE
-        netmod.DEFAULT_REBALANCE = self.rebalance
-
-    def __exit__(self, *exc):
-        self._netmod.DEFAULT_REBALANCE = self._prev
+    The default flat build runs the cohort engine. The per-flow oracle is a
+    two-rack topology with every host left in rack 0: the network runs per
+    flow, no path crosses a trunk, and ``topo_aware=False`` keeps every
+    placement and read policy topology-blind.
+    """
+    if engine == "cohort":
+        return {}
+    return {"topology": Topology(n_racks=2, rack_uplink=1.0), "topo_aware": False}
 
 
-def _run_engine_cycle(rebalance, approach="mirror", with_snapshot=False, traced=False):
-    """One full cycle under an explicit rebalance engine."""
-    with _engine(rebalance):
-        cloud = build_cloud(N_NODES, seed=SEED, calib=CALIB)
-        tracer = None
-        if traced:
-            from repro import obs
+def _run_engine_cycle(engine, approach="mirror", with_snapshot=False, traced=False):
+    """One full cycle under an explicit flow engine."""
+    cloud = build_cloud(N_NODES, seed=SEED, calib=CALIB, **_engine_kw(engine))
+    tracer = None
+    if traced:
+        from repro import obs
 
-            tracer = obs.install_tracer(cloud.fabric)
-        image = make_image(
-            CALIB.image.size, CALIB.image.boot_touched_bytes, n_regions=16
-        )
-        result = deploy(cloud, image, N_NODES, approach)
-        if with_snapshot:
-            snapshot_all(cloud, result.vms, approach)
-        return {
-            "now": cloud.env.now,
-            "events": cloud.env.event_count,
-            "traffic": dict(cloud.metrics.traffic),
-            "boot_times": tuple(result.boot_times),
-            "completion": result.completion_time,
-            "spans": len(tracer.spans) if tracer is not None else 0,
-        }
+        tracer = obs.install_tracer(cloud.fabric)
+    image = make_image(
+        CALIB.image.size, CALIB.image.boot_touched_bytes, n_regions=16
+    )
+    result = deploy(cloud, image, N_NODES, approach)
+    if with_snapshot:
+        snapshot_all(cloud, result.vms, approach)
+    return {
+        "now": cloud.env.now,
+        "events": cloud.env.event_count,
+        "traffic": dict(cloud.metrics.traffic),
+        "boot_times": tuple(result.boot_times),
+        "completion": result.completion_time,
+        "spans": len(tracer.spans) if tracer is not None else 0,
+    }
 
 
-def _run_engine_fault_cycle(rebalance):
+def _run_engine_fault_cycle(engine):
     """A fault-injected deployment (NIC degradation + a provider crash that
-    replication survives) under an explicit rebalance engine."""
+    replication survives) under an explicit flow engine."""
     from repro.faults import FaultPlan, RetryPolicy, resilient_deploy
     from repro.faults.plan import FaultEvent
 
-    with _engine(rebalance):
-        cloud = build_cloud(
-            N_NODES, seed=SEED, calib=CALIB,
-            replication_factor=2,
-            retry=RetryPolicy(attempts=4, base_delay=0.25, rpc_timeout=1.0),
+    cloud = build_cloud(
+        N_NODES, seed=SEED, calib=CALIB,
+        **_engine_kw(engine),
+        replication_factor=2,
+        retry=RetryPolicy(attempts=4, base_delay=0.25, rpc_timeout=1.0),
+    )
+    plan = FaultPlan(
+        (
+            FaultEvent(
+                at=0.3, kind="nic-degrade",
+                target=cloud.compute[1].name, factor=4.0,
+            ),
+            FaultEvent(
+                at=0.6, kind="provider-crash",
+                target=cloud.compute[N_NODES - 1].name, duration=2.0,
+            ),
         )
-        plan = FaultPlan(
-            (
-                FaultEvent(
-                    at=0.3, kind="nic-degrade",
-                    target=cloud.compute[1].name, factor=4.0,
-                ),
-                FaultEvent(
-                    at=0.6, kind="provider-crash",
-                    target=cloud.compute[N_NODES - 1].name, duration=2.0,
-                ),
-            )
-        )
-        image = make_image(
-            CALIB.image.size, CALIB.image.boot_touched_bytes, n_regions=16
-        )
-        res = resilient_deploy(cloud, image, N_NODES - 2, "mirror", plan=plan)
-        return {
-            "now": cloud.env.now,
-            "traffic": dict(cloud.metrics.traffic),
-            "boot_times": tuple(res.boot_times),
-            "completion": res.completion_time,
-            "survival": res.survival_rate,
-            "boots_failed": res.boots_failed,
-        }
+    )
+    image = make_image(
+        CALIB.image.size, CALIB.image.boot_touched_bytes, n_regions=16
+    )
+    res = resilient_deploy(cloud, image, N_NODES - 2, "mirror", plan=plan)
+    return {
+        "now": cloud.env.now,
+        "events": cloud.env.event_count,
+        "traffic": dict(cloud.metrics.traffic),
+        "boot_times": tuple(res.boot_times),
+        "completion": res.completion_time,
+        "survival": res.survival_rate,
+        "boots_failed": res.boots_failed,
+    }
 
 
 class TestCohortEngineMatchesLegacy:
-    """The cohort rebalance engine against its per-flow oracle, full stack.
+    """The cohort engine against its per-flow oracle, full stack.
 
     The cohort engine must not move a single event on the fig. 4 / fig. 5
     cycles: same clock, same event count, same traffic, same boot times —
-    exact equality, including traced runs. Fault-injected runs compare
-    everything except the event count (`fail_nic` arms a different number
-    of no-op sentinel timers per engine; application ordering and results
-    are unaffected — see DESIGN.md §8).
+    exact equality, including traced and fault-injected runs. (The class
+    name dates from when the oracle was a separate flat engine.)
     """
 
     @pytest.mark.parametrize("approach", ["mirror", "qcow2-pvfs", "prepropagation"])
     def test_deploy_bit_identical(self, approach):
-        legacy = _run_engine_cycle("legacy", approach)
+        per_flow = _run_engine_cycle("per-flow", approach)
         cohort = _run_engine_cycle("cohort", approach)
-        assert cohort == legacy
+        assert cohort == per_flow
 
     def test_snapshot_cycle_bit_identical(self):
-        legacy = _run_engine_cycle("legacy", with_snapshot=True)
+        per_flow = _run_engine_cycle("per-flow", with_snapshot=True)
         cohort = _run_engine_cycle("cohort", with_snapshot=True)
-        assert cohort == legacy
+        assert cohort == per_flow
 
     def test_traced_cycle_bit_identical(self):
-        legacy = _run_engine_cycle("legacy", traced=True)
+        per_flow = _run_engine_cycle("per-flow", traced=True)
         cohort = _run_engine_cycle("cohort", traced=True)
-        assert cohort == legacy
+        assert cohort == per_flow
         assert cohort["spans"] > 0
 
     def test_fault_injected_results_identical(self):
-        legacy = _run_engine_fault_cycle("legacy")
+        per_flow = _run_engine_fault_cycle("per-flow")
         cohort = _run_engine_fault_cycle("cohort")
-        assert cohort == legacy
+        assert cohort == per_flow
         # the crash must actually have bitten (otherwise this is vacuous)
         assert cohort["survival"] > 0

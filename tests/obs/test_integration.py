@@ -63,6 +63,16 @@ class TestBitIdentity:
         assert obs.snapshot_spans(tracer.spans)
 
 
+class TestExportDeterminism:
+    def test_identical_runs_export_identical_documents(self):
+        """An exported trace depends only on the run: no process-wide state
+        (such as a count of earlier tracers) leaks into the document."""
+        _, first = run_cycle("mirror", traced=True)
+        _, second = run_cycle("mirror", traced=True)
+        assert obs.to_trace_events(second) == obs.to_trace_events(first)
+        assert obs.to_span_dicts(second) == obs.to_span_dicts(first)
+
+
 class TestAcceptance:
     @pytest.fixture(scope="class")
     def traced_run(self):

@@ -5,8 +5,10 @@
 flight), so it exercises the cohort engine's reshare/settle machinery on
 shares that did not change through a flow starting or completing. This
 property test drives randomized workloads where capacity changes land
-mid-flow and checks every completion time against the legacy per-flow
-engine, which recomputes each touched flow independently.
+mid-flow and checks every completion time against the per-flow
+engine, which recomputes each touched flow independently. The per-flow
+engine is reached through a two-rack topology with every host left in rack
+0: no path crosses a trunk, so it computes the flat model.
 """
 
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ import pytest
 from repro.common.units import MB
 from repro.simkit.core import Environment
 from repro.simkit.network import FlowNetwork
+from repro.topo import Topology
 
 N_HOSTS = 4
 CAP = 100 * MB
@@ -36,9 +39,10 @@ capacity_change = st.tuples(
 )
 
 
-def run_workload(flows, changes, rebalance):
+def run_workload(flows, changes, engine):
     env = Environment()
-    net = FlowNetwork(env, fairness="equal-share", latency=0.0, rebalance=rebalance)
+    topology = Topology(n_racks=2, rack_uplink=1.0) if engine == "per-flow" else None
+    net = FlowNetwork(env, fairness="equal-share", latency=0.0, topology=topology)
     nics = [net.add_nic(f"h{i}", CAP) for i in range(N_HOSTS)]
     finish = {}
 
@@ -68,11 +72,11 @@ def run_workload(flows, changes, rebalance):
 )
 def test_cohort_matches_legacy_under_capacity_changes(flows, changes):
     cohort = run_workload(flows, changes, "cohort")
-    legacy = run_workload(flows, changes, "legacy")
-    assert cohort.keys() == legacy.keys()
+    per_flow = run_workload(flows, changes, "per-flow")
+    assert cohort.keys() == per_flow.keys()
     for i in cohort:
-        assert cohort[i] == pytest.approx(legacy[i], abs=TOL), (
-            f"flow {i}: cohort={cohort[i]!r} legacy={legacy[i]!r}"
+        assert cohort[i] == pytest.approx(per_flow[i], abs=TOL), (
+            f"flow {i}: cohort={cohort[i]!r} per-flow={per_flow[i]!r}"
         )
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from repro.common.units import MB
 from repro.simkit.core import Environment
+from repro.simkit.host import Fabric
 from repro.simkit.network import FlowNetwork
 from repro.simkit.trace import Metrics
+from repro.topo import Topology
 
 
 def make_net(fairness="equal-share", n_hosts=4, bw=100 * MB, latency=0.0001):
@@ -158,6 +160,30 @@ class TestMessages:
     def test_unknown_fairness_rejected(self):
         with pytest.raises(ValueError):
             FlowNetwork(Environment(), fairness="weighted")
+
+
+class TestNonPositiveCapacityRejected:
+    """Regression: ``add_nic`` used to accept a capacity of 0 or below. A
+    transfer then raised ZeroDivisionError (cohort engine) or never finished
+    (per-flow engine); now the link refuses the capacity up front."""
+
+    @pytest.mark.parametrize("racks", [1, 2])
+    @pytest.mark.parametrize(
+        "up, down", [(0, None), (-1.0, None), (float("nan"), None), (MB, 0), (MB, -MB)]
+    )
+    def test_add_nic(self, racks, up, down):
+        topo = Topology(n_racks=racks, rack_uplink=MB) if racks > 1 else None
+        net = FlowNetwork(Environment(), topology=topo)
+        with pytest.raises(ValueError, match="must be positive"):
+            net.add_nic("a", up, down)
+        assert net.add_nic("a", MB).up_capacity == MB  # nothing registered
+
+    @pytest.mark.parametrize("bw", [0, -MB])
+    def test_fabric_add_host(self, bw):
+        fab = Fabric(seed=1)
+        with pytest.raises(ValueError, match="must be positive"):
+            fab.add_host("h0", nic_bandwidth=bw)
+        assert "h0" not in fab.hosts
 
 
 class TestConservation:

@@ -1,14 +1,13 @@
-"""The cohort rebalance engine is bit-identical to the legacy per-flow path.
+"""The cohort engine is bit-identical to the per-flow engine.
 
-The cohort engine (PR: paper-scale fabric) replaces eager per-flow rate
-updates with lazy per-link-direction rate epochs; its correctness claim is
-*exact* float equality with the legacy engine, which stays available as
-``rebalance="legacy"`` precisely to serve as the oracle here. Every
-comparison below is ``==``, not approx: same completion times, same final
-clock, same traffic counters. Event counts also match, except on
-``fail_nic`` workloads where the legacy path re-arms the sentinel once per
-touched NIC mid-event (the extra no-op timers never affect application
-event ordering — see DESIGN.md §8).
+The cohort engine replaces eager per-flow rate updates with lazy per-link
+rate epochs; its correctness claim is *exact* float equality with the
+per-flow engine. The per-flow engine runs on any multi-rack topology, and a
+two-rack topology with every host left in rack 0 has no trunk on any path,
+so it computes the flat model with no production option: that is the
+oracle here. Every comparison below is ``==``, not approx: same completion
+times, same final clock, same event count, same traffic counters — with
+and without ``fail_nic``.
 
 Also covered: the ``set_nic_capacity`` downlink validation regression, the
 unified traffic-accounting API, stale completion-heap entries after
@@ -25,12 +24,22 @@ from repro.common.units import MB
 from repro.simkit.core import Environment
 from repro.simkit.network import FlowNetwork
 from repro.simkit.trace import Metrics
+from repro.topo import Topology
+
+ENGINES = ["cohort", "per-flow"]
+
+
+def make_network(env, engine, **kw):
+    """A flat network on the cohort engine, or the per-flow oracle."""
+    if engine == "per-flow":
+        # two racks, every host left in rack 0: per-flow, no trunk on any path
+        kw["topology"] = Topology(n_racks=2, rack_uplink=1.0)
+    return FlowNetwork(env, **kw)
 
 
 def run_random(
-    rebalance,
+    engine,
     seed,
-    fairness="equal-share",
     faults=False,
     uniform=False,
     hotspot=False,
@@ -41,7 +50,7 @@ def run_random(
     hot destination), control messages, capacity changes, NIC failures."""
     rng = random.Random(seed)
     env = Environment()
-    net = FlowNetwork(env, fairness=fairness, rebalance=rebalance)
+    net = make_network(env, engine)
 
     def cap():
         return 1e8 if uniform else 1e8 * rng.uniform(0.5, 2.0)
@@ -105,45 +114,35 @@ def run_random(
 
 
 class TestCohortMatchesLegacyExactly:
+    """The cohort engine against the per-flow oracle (class name kept from
+    when that oracle was a separate flat engine)."""
+
     @pytest.mark.parametrize("uniform", [False, True])
     @pytest.mark.parametrize("seed", range(6))
     def test_mixed_workload(self, seed, uniform):
-        a = run_random("legacy", seed, uniform=uniform)
+        a = run_random("per-flow", seed, uniform=uniform)
         b = run_random("cohort", seed, uniform=uniform)
         assert a == b  # exact: clock, event count, traffic, completion times
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hotspot_fan_in(self, seed):
         """The paper's regime: many flows funneled into one downlink."""
-        a = run_random("legacy", seed, hotspot=True)
+        a = run_random("per-flow", seed, hotspot=True)
         b = run_random("cohort", seed, hotspot=True)
         assert a == b
 
     @pytest.mark.parametrize("uniform", [False, True])
     @pytest.mark.parametrize("seed", range(6))
     def test_with_nic_failures(self, seed, uniform):
-        """Results stay exact under fail_nic; only the no-op sentinel event
-        count may differ (legacy re-arms once per touched NIC mid-event)."""
-        a = run_random("legacy", seed, faults=True, uniform=uniform)
+        """Exact under fail_nic too, event counts included."""
+        a = run_random("per-flow", seed, faults=True, uniform=uniform)
         b = run_random("cohort", seed, faults=True, uniform=uniform)
-        for key in ("now", "traffic", "finished", "failed"):
-            assert a[key] == b[key]
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_maxmin_unaffected_by_rebalance_flag(self, seed):
-        """Max-min always runs the per-flow path; the flag must be inert."""
-        a = run_random("legacy", seed, fairness="maxmin", faults=True)
-        b = run_random("cohort", seed, fairness="maxmin", faults=True)
         assert a == b
 
     def test_cohort_is_deterministic(self):
         assert run_random("cohort", 11, faults=True) == run_random(
             "cohort", 11, faults=True
         )
-
-    def test_unknown_rebalance_rejected(self):
-        with pytest.raises(ValueError, match="rebalance"):
-            FlowNetwork(Environment(), rebalance="eager")
 
 
 class TestCapacityValidation:
@@ -187,12 +186,12 @@ class RecordingMetrics(Metrics):
         super().add_traffic(nbytes, kind)
 
 
-@pytest.mark.parametrize("rebalance", ["legacy", "cohort"])
+@pytest.mark.parametrize("engine", ENGINES)
 class TestUnifiedTrafficAccounting:
-    def test_all_paths_route_through_add_traffic(self, rebalance):
+    def test_all_paths_route_through_add_traffic(self, engine):
         env = Environment()
         metrics = RecordingMetrics()
-        net = FlowNetwork(env, metrics=metrics, rebalance=rebalance)
+        net = make_network(env, engine, metrics=metrics)
         a = net.add_nic("a", 100 * MB)
         b = net.add_nic("b", 100 * MB)
         net.transfer(a, b, 10 * MB)          # bulk flow -> _complete
@@ -208,14 +207,14 @@ class TestUnifiedTrafficAccounting:
         assert metrics.traffic["doomed"] > 0  # aborted bytes were charged
 
 
-@pytest.mark.parametrize("rebalance", ["legacy", "cohort"])
+@pytest.mark.parametrize("engine", ENGINES)
 class TestStaleHeapEntries:
-    def test_fail_nic_races_pending_sentinel(self, rebalance):
+    def test_fail_nic_races_pending_sentinel(self, engine):
         """A sentinel armed for a flow that fail_nic aborts must not
-        resurrect it: the stale heap entry has to die on generation (legacy)
-        or epoch (cohort) mismatch when the timer fires."""
+        resurrect it: the stale heap entry has to die on a generation
+        mismatch (the flow's or its cohort link's) when the timer fires."""
         env = Environment()
-        net = FlowNetwork(env, rebalance=rebalance)
+        net = make_network(env, engine)
         a = net.add_nic("a", 100 * MB)
         b = net.add_nic("b", 100 * MB)
         c = net.add_nic("c", 100 * MB)
@@ -232,11 +231,11 @@ class TestStaleHeapEntries:
         # and the victim's partial bytes are both accounted exactly once
         assert net.metrics.traffic["bulk"] < 40 * MB
 
-    def test_completion_after_failure_uses_fresh_entries(self, rebalance):
+    def test_completion_after_failure_uses_fresh_entries(self, engine):
         """After fail_nic the survivors' re-pushed ETAs must drive
         completions (the dead flow's earlier ETA is skipped)."""
         env = Environment()
-        net = FlowNetwork(env, latency=0.0, rebalance=rebalance)
+        net = make_network(env, engine, latency=0.0)
         a = net.add_nic("a", 100 * MB)
         b = net.add_nic("b", 100 * MB)
         c = net.add_nic("c", 100 * MB)

@@ -20,6 +20,7 @@ import pytest
 from repro.common.units import MB
 from repro.simkit.core import Environment, Event
 from repro.simkit.network import FlowNetwork
+from repro.topo import Topology
 
 N_HOSTS = 4
 CAP = 100 * MB
@@ -43,9 +44,12 @@ class LegacyTimerNetwork(FlowNetwork):
     """
 
     def __init__(self, *args, **kw):
-        # per-flow timers hook _set_rate, which only the legacy (per-flow)
-        # rebalance engine calls; the cohort engine would bypass the oracle
-        kw["rebalance"] = "legacy"
+        # per-flow timers hook _set_rate, which only the per-flow engine
+        # calls; the cohort engine would bypass the oracle. Equal-share runs
+        # per flow on a multi-rack topology — two racks, every host left in
+        # rack 0, so no path has a trunk (maxmin always runs per flow).
+        if kw.get("fairness", "equal-share") == "equal-share":
+            kw["topology"] = Topology(n_racks=2, rack_uplink=1.0)
         super().__init__(*args, **kw)
 
     def _set_rate(self, flow, new_rate, now):
@@ -55,10 +59,10 @@ class LegacyTimerNetwork(FlowNetwork):
             flow.remaining = rem if rem > 0.0 else 0.0
         flow.t_last = now
         flow.rate = new_rate
-        flow.wake_seq += 1
+        flow.gen += 1
         if new_rate > 0.0:
             flow.ctime = now + flow.remaining / new_rate
-            gen = flow.wake_seq
+            gen = flow.gen
             ev = Event(self.env)
             ev.callbacks.append(lambda _ev, f=flow, g=gen: self._on_timer(f, g))
             self.env.schedule_at(ev, flow.ctime)
@@ -67,7 +71,7 @@ class LegacyTimerNetwork(FlowNetwork):
         pass  # no shared sentinel; each flow carries its own timers
 
     def _on_timer(self, flow, gen):
-        if gen != flow.wake_seq or flow not in self._flows:
+        if gen != flow.gen or flow not in self._flows:
             return  # superseded by a later rate change (or already done)
         self._complete(flow)
 

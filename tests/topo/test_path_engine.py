@@ -1,8 +1,8 @@
-"""Path-mode flow engine: trunk routing, rates, accounting, fault injection.
+"""Per-flow engine over trunk paths: routing, rates, accounting, faults.
 
-A multi-rack :class:`Topology` switches :class:`FlowNetwork` into path mode,
-where a flow's rate is the min share over its endpoints *and* every trunk on
-its rack-to-rack path. These tests pin the routing table, the oversubscribed
+A multi-rack :class:`Topology` runs :class:`FlowNetwork` on its per-flow
+engine, where a flow's rate is the min share over its NIC links *and* every
+trunk on its rack-to-rack path. These tests pin the routing table, the oversubscribed
 rates, the per-tier byte accounting (full on complete, wire bytes for
 messages, partial on abort), and mid-run trunk capacity changes.
 """
@@ -97,7 +97,7 @@ class TestRouting:
     def test_single_rack_stays_off_path_engine(self):
         topo = Topology(n_racks=1, rack_uplink=CAP)
         net = FlowNetwork(Environment(), topology=topo)
-        assert not net._path
+        assert net._cohort
 
 
 class TestRates:

@@ -4,7 +4,7 @@ Two invariants protect the seed model. A build that never mentions racks
 must stay bit-identical to the pre-topology tree (guaranteed trivially: no
 topology object exists). And an *explicit single-rack* topology — the
 degenerate fabric whose one top-of-rack switch is non-blocking — must only
-add tier accounting, never move an event: the network layer keeps the flat
+add tier accounting, never move an event: the network layer keeps the cohort
 engine whenever ``multi_rack`` is false. These tests pin the second
 invariant across every workload family (multideployment, multisnapshot,
 p2p deploy, long-horizon churn).
@@ -65,8 +65,8 @@ class TestSingleRackIsBitIdentical:
         assert flat == topo
         # the degenerate fabric still classifies traffic...
         assert topo_cloud.metrics.topo_scope_totals() != {}
-        # ...but never activates the path engine
-        assert not topo_cloud.fabric.network._path
+        # ...but stays on the flat fabric's cohort engine
+        assert topo_cloud.fabric.network._cohort
 
     def test_multideployment_with_p2p(self):
         _a, flat = _deploy_timeline(flat=True, p2p=True)
