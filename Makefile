@@ -14,9 +14,9 @@ lint:            ## ruff over src/ and tests/ (what the CI lint job runs)
 loc:             ## tracked source size: src/ and simkit/network.py, all and code lines
 	python3 benchmarks/loc.py
 
-perfbench:       ## repository benchmark: harness tests + one checked multisnapshot run
+perfbench:       ## repository benchmark: harness tests + one checked run of each workload (~1 min)
 	python3 -m pytest perfbench/tests -q
-	python3 perfbench/run.py --workload multisnapshot --seed 1 --seconds 1 --trace 0
+	python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0
 
 bench:           ## full paper-profile figure reproduction (~25 min)
 	pytest benchmarks/ --benchmark-only

@@ -165,6 +165,8 @@ class PvfsDeployment:
             srv = PvfsMetaServer(host, self.model, deployment=self)
             rpc.bind(host, "pvfs-meta", srv)
             self.meta_servers[host.name] = srv
+        #: qcow2 snapshot files written so far (numbers their names)
+        self.snapshot_files = 0
 
     def meta_host_for(self, path: str) -> Host:
         acc = 2166136261

@@ -38,7 +38,7 @@ from .errors import OutOfRangeError
 # --------------------------------------------------------------------------- #
 # atoms
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BytesAtom:
     data: bytes
 
@@ -52,7 +52,7 @@ class BytesAtom:
         return BytesAtom(self.data[lo:hi])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroAtom:
     nbytes: int
 
@@ -64,7 +64,7 @@ class ZeroAtom:
         return ZeroAtom(hi - lo)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpaqueAtom:
     tag: str
     offset: int
@@ -82,11 +82,11 @@ Atom = Union[BytesAtom, ZeroAtom, OpaqueAtom]
 
 
 def _merge(a: Atom, b: Atom) -> Atom | None:
-    """Coalesce two adjacent atoms into one when they form a contiguous run."""
+    """Coalesce two adjacent atoms into one when they form a contiguous run
+    that needs no byte copy: zero with zero, or one opaque window followed by
+    the next window of the same source. Byte atoms are joined elsewhere."""
     if isinstance(a, ZeroAtom) and isinstance(b, ZeroAtom):
         return ZeroAtom(a.nbytes + b.nbytes)
-    if isinstance(a, BytesAtom) and isinstance(b, BytesAtom):
-        return BytesAtom(a.data + b.data)
     if (
         isinstance(a, OpaqueAtom)
         and isinstance(b, OpaqueAtom)
@@ -95,6 +95,25 @@ def _merge(a: Atom, b: Atom) -> Atom | None:
     ):
         return OpaqueAtom(a.tag, a.offset, a.nbytes + b.nbytes)
     return None
+
+
+def _join_bytes(run: List[BytesAtom]) -> BytesAtom:
+    """One atom for a run of adjacent byte atoms: a single join, not a
+    pairwise concatenation that copies the growing prefix each time."""
+    if len(run) == 1:
+        return run[0]
+    return BytesAtom(b"".join(a.data for a in run))
+
+
+def _coalesce(a: Payload, b: Payload) -> Payload | None:
+    """``a + b`` as one atom when each is one atom and :func:`_merge` joins
+    them without a byte copy; ``None`` otherwise."""
+    if len(a._atoms) != 1 or len(b._atoms) != 1:
+        return None
+    merged = _merge(a._atoms[0], b._atoms[0])
+    if merged is None:
+        return None
+    return Payload._from_normalized((merged,), merged.size)
 
 
 # --------------------------------------------------------------------------- #
@@ -107,15 +126,24 @@ class Payload:
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         normalized: List[Atom] = []
+        run: List[BytesAtom] = []  # adjacent byte atoms, joined once
         for atom in atoms:
             if atom.size == 0:
                 continue
-            if normalized:
+            if isinstance(atom, BytesAtom):
+                run.append(atom)
+                continue
+            if run:
+                normalized.append(_join_bytes(run))
+                run = []
+            elif normalized:
                 merged = _merge(normalized[-1], atom)
                 if merged is not None:
                     normalized[-1] = merged
                     continue
             normalized.append(atom)
+        if run:
+            normalized.append(_join_bytes(run))
         self._atoms: Tuple[Atom, ...] = tuple(normalized)
         self._size = sum(a.size for a in self._atoms)
 
@@ -192,6 +220,8 @@ class Payload:
             raise OutOfRangeError(f"slice [{lo},{hi}) of payload size {self._size}")
         if lo == 0 and hi == self._size:
             return self  # whole-payload slice: immutable, so share it
+        if lo == hi:
+            return EMPTY  # not a zero-size window, which would compare unequal
         atoms = self._atoms
         if len(atoms) == 1:
             # Single-atom payloads (one opaque chunk, one zero run) dominate
@@ -256,8 +286,12 @@ class SparseFile:
 
     Segments are kept as a sorted list of ``(lo, hi, payload)`` triples with
     no overlaps; writes splice, reads stitch payload windows together with
-    zero-fill for holes. Used for local-disk files, chunk stores, and the
-    mirror file.
+    zero-fill for holes. A write coalesces with a segment it touches when
+    both are single atoms that :func:`_merge` joins (contiguous windows of
+    one opaque source, or zeros), so a run of fills from one chunk source
+    is one segment; byte atoms never coalesce, since that would copy them.
+    Reads return normalized payloads, so coalescing is invisible to them.
+    Used for local-disk files, chunk stores, and the mirror file.
     """
 
     __slots__ = ("size", "_segments")
@@ -292,16 +326,33 @@ class SparseFile:
         # than rebuilding the whole segment list per write.
         segments = self._segments
         i, j = self._overlap_window(lo, hi)
-        repl: List[Tuple[int, int, Payload]] = []
+        left = right = None
         if i < j:
             s_lo, s_hi, s_pl = segments[i]
             if s_lo < lo:
-                repl.append((s_lo, lo, s_pl.slice(0, lo - s_lo)))
-        repl.append((lo, hi, payload))
-        if i < j:
+                left = (s_lo, lo, s_pl.slice(0, lo - s_lo))
             s_lo, s_hi, s_pl = segments[j - 1]
             if s_hi > hi:
-                repl.append((hi, s_hi, s_pl.slice(hi - s_lo, s_hi - s_lo)))
+                right = (hi, s_hi, s_pl.slice(hi - s_lo, s_hi - s_lo))
+        # A neighbour that only touches [lo, hi) joins the splice, so that
+        # touching fills of one source end as one segment.
+        if left is None and i > 0 and segments[i - 1][1] == lo:
+            i -= 1
+            left = segments[i]
+        if right is None and j < len(segments) and segments[j][0] == hi:
+            right = segments[j]
+            j += 1
+        repl: List[Tuple[int, int, Payload]] = []
+        for seg in (left, (lo, hi, payload), right):
+            if seg is None:
+                continue
+            if repl:
+                p_lo, _, p_pl = repl[-1]
+                joined = _coalesce(p_pl, seg[2])
+                if joined is not None:
+                    repl[-1] = (p_lo, seg[1], joined)
+                    continue
+            repl.append(seg)
         segments[i:j] = repl
 
     def read(self, offset: int, nbytes: int) -> Payload:

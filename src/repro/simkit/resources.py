@@ -16,7 +16,7 @@ All follow the engine's event discipline: acquiring returns an
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Deque, Optional
 
 from ..common.errors import SimulationError
 from .core import Environment, Event, _PENDING
@@ -33,9 +33,10 @@ class Request(Event):
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request from the resource's queue."""
-        if self._value is _PENDING:
+        waiters = self.resource._waiters
+        if self._value is _PENDING and waiters:
             try:
-                self.resource._waiters.remove(self)
+                waiters.remove(self)
             except ValueError:
                 pass
 
@@ -60,7 +61,9 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.in_use = 0
-        self._waiters: Deque[Request] = deque()
+        #: FIFO of waiting requests, made on the first wait: most resources
+        #: (idle hosts' disks and pools) never queue anyone
+        self._waiters: Optional[Deque[Request]] = None
 
     def request(self) -> Request:
         """Acquire one slot; the returned event fires when granted."""
@@ -69,6 +72,8 @@ class Resource:
             self.in_use += 1
             req.succeed()
         else:
+            if self._waiters is None:
+                self._waiters = deque()
             self._waiters.append(req)
         return req
 
@@ -99,7 +104,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        return len(self._waiters)
+        return len(self._waiters) if self._waiters else 0
 
 
 class Store:

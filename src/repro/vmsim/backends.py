@@ -86,8 +86,6 @@ class LocalRawBackend:
 class Qcow2PvfsBackend:
     """qcow2 CoW file on the local disk, backing image striped on PVFS."""
 
-    _counter = 0
-
     def __init__(
         self,
         host: Host,
@@ -109,7 +107,6 @@ class Qcow2PvfsBackend:
             cluster_size=cluster_size,
         )
         self.device = FileDevice(host.env, host.disk, hypervisor_policy(self.fuse), self.size)
-        self._snap_seq = 0
 
     def open(self) -> Generator:
         """Create the local qcow2 file pointing at the PVFS backing image."""
@@ -155,9 +152,9 @@ class Qcow2PvfsBackend:
         """Copy the local qcow2 file back into PVFS (a new file each time)."""
         t0 = self.host.env.now
         file_payload, index = self.image.serialize()
-        Qcow2PvfsBackend._counter += 1
-        self._snap_seq += 1
-        path = f"/snapshots/{self.host.name}-{Qcow2PvfsBackend._counter}.qcow2"
+        # numbered per PVFS deployment: the name places the file's metadata
+        self.pvfs.snapshot_files += 1
+        path = f"/snapshots/{self.host.name}-{self.pvfs.snapshot_files}.qcow2"
         # read the qcow2 file from the local disk, then stream it into PVFS
         yield from self.device.read(file_payload.size, cached=True)
         yield from self.client.create(path, file_payload.size)

@@ -10,7 +10,7 @@ skew measured in §3.1.3 — then replays the boot trace. The instance's
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional
+from typing import Dict, Generator, Iterable, List, Optional
 
 import numpy as np
 
@@ -42,6 +42,15 @@ class VMInstance:
         self.booted_at: Optional[float] = None
         #: content tag of every guest write (opaque payload provenance)
         self._write_tag = f"vmwrite-{name}"
+        #: one immutable payload per write size: a guest write's content is
+        #: its tag and size, so every write of a size shares one object
+        self._writes: Dict[int, Payload] = {}
+
+    def _write_payload(self, nbytes: int) -> Payload:
+        payload = self._writes.get(nbytes)
+        if payload is None:
+            payload = self._writes[nbytes] = Payload.opaque(self._write_tag, nbytes)
+        return payload
 
     # ------------------------------------------------------------------ #
     def run_ops(self, ops: Iterable[BootOp]) -> Generator:
@@ -52,7 +61,6 @@ class VMInstance:
         if tracer.enabled:
             yield from self._run_ops_traced(ops)
             return
-        tag = self._write_tag
         for op in ops:
             kind = op.kind
             if kind == "cpu":
@@ -61,7 +69,7 @@ class VMInstance:
             elif kind == "read":
                 yield from backend.read(op.offset, op.nbytes)
             elif kind == "write":
-                yield from backend.write(op.offset, Payload.opaque(tag, op.nbytes))
+                yield from backend.write(op.offset, self._write_payload(op.nbytes))
             else:
                 raise SimulationError(f"unknown boot op {kind!r}")
 
@@ -81,9 +89,7 @@ class VMInstance:
                     yield from backend.read(op.offset, op.nbytes)
             elif kind == "write":
                 with tracer.start("op:write", "vfs", offset=op.offset, nbytes=op.nbytes):
-                    yield from backend.write(
-                        op.offset, Payload.opaque(self._write_tag, op.nbytes)
-                    )
+                    yield from backend.write(op.offset, self._write_payload(op.nbytes))
             else:
                 raise SimulationError(f"unknown boot op {kind!r}")
 

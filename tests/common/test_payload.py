@@ -1,11 +1,13 @@
 """Unit and property tests for the payload algebra and sparse files."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import OutOfRangeError
-from repro.common.payload import EMPTY, Payload, SparseFile
+from repro.common.payload import EMPTY, BytesAtom, OpaqueAtom, Payload, SparseFile, ZeroAtom
 
 
 class TestConstruction:
@@ -87,6 +89,39 @@ class TestSliceConcat:
         p = Payload.opaque("img", 1000)
         rejoined = Payload.concat([p.slice(0, 400), p.slice(400, 1000)])
         assert rejoined == p
+
+    def test_empty_slice_is_empty(self):
+        assert Payload.opaque("img", 100).slice(5, 5) == EMPTY
+        assert SparseFile(10, base=Payload.zeros(10)).read(4, 0) == EMPTY
+
+    def test_many_byte_parts_join_once(self):
+        # 4,096 parts of 4 KiB: pairwise concatenation is quadratic (~20 s)
+        parts = [Payload.from_bytes(bytes([k % 251]) * 4096) for k in range(4096)]
+        p = Payload.concat(parts + [Payload.zeros(8)] + parts[:3])
+        assert p.to_bytes() == b"".join(x.to_bytes() for x in parts) + bytes(8) + b"".join(
+            x.to_bytes() for x in parts[:3]
+        )
+        assert len(p.atoms) == 3
+        assert p.size == 4099 * 4096 + 8
+
+
+class TestPickle:
+    """Atoms are frozen slotted dataclasses; payloads cross process pools."""
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("value", [
+        BytesAtom(b"abc"),
+        ZeroAtom(7),
+        OpaqueAtom("img", 3, 9),
+        Payload.from_bytes(b"ab") + Payload.zeros(4) + Payload.opaque("img", 5, offset=2),
+        EMPTY,
+    ], ids=["bytes", "zero", "opaque", "payload", "empty"])
+    def test_roundtrip(self, value, protocol):
+        back = pickle.loads(pickle.dumps(value, protocol=protocol))
+        assert back == value and hash(back) == hash(value)
+        assert type(back) is type(value)
+        if isinstance(value, Payload):
+            assert back.atoms == value.atoms and back.size == value.size
 
 
 @settings(max_examples=150)
